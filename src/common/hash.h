@@ -23,11 +23,15 @@
  * fold.
  *
  * Stability guarantee: a digest is a pure function of the absorbed
- * value sequence, stable within a process and across processes of the
- * same build — but NOT a serialisation format. Do not persist
- * digests: the constants may change between versions, and equal
- * digests are only meaningful when both sides hashed with the same
- * code.
+ * value sequence, and the construction is part of the on-disk
+ * format. The result store (serve/store.cc) persists Hash128 output
+ * as record checksums and job digests, so changing a constant,
+ * absorb() or putBytes() orphans every existing store and needs a
+ * kAbiVersion bump (common/version.h). The golden test in
+ * tests/test_common.cc pins the output so such a change fails
+ * loudly. What callers stream into a hash is theirs to change:
+ * the explorer's state digests (sim::Machine::hashState) are
+ * in-process keys, never persisted.
  */
 
 #ifndef GPULITMUS_COMMON_HASH_H

@@ -6,9 +6,9 @@
  * have computed them identically. Three things can silently change a
  * result between builds: the simulator/explorer semantics, the
  * outcome-key rendering, and the digest construction itself
- * (common/hash.h documents that its constants are not a serialisation
- * format). kAbiVersion names the equivalence class: two binaries with
- * the same stamp promise bit-identical results for the same job.
+ * (common/hash.h; the store persists its output). kAbiVersion names
+ * the equivalence class: two binaries with the same stamp promise
+ * bit-identical results for the same job.
  *
  * Bump the number whenever any of those change:
  *  - machine/explorer behaviour for an existing job (new ChoiceKind,

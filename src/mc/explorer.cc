@@ -4,6 +4,7 @@
 #include <atomic>
 #include <cassert>
 #include <chrono>
+#include <cstring>
 #include <memory>
 #include <mutex>
 #include <thread>
@@ -14,6 +15,7 @@
 #include "common/log.h"
 #include "litmus/outcome.h"
 #include "mc/shardmap.h"
+#include "mc/statetable.h"
 #include "mc/worksteal.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -34,12 +36,33 @@ namespace {
 using Weights = std::vector<uint64_t>;
 
 void
+foldWeights(Weights &dst, WeightSpan src)
+{
+    if (src.size == 0)
+        return;
+    if (!src.ids) {
+        if (dst.size() < src.size)
+            dst.resize(src.size, 0);
+        for (size_t i = 0; i < src.size; ++i)
+            dst[i] += src.counts[i];
+        return;
+    }
+    if (dst.size() <= src.ids[src.size - 1])
+        dst.resize(src.ids[src.size - 1] + 1, 0);
+    for (size_t i = 0; i < src.size; ++i)
+        dst[src.ids[i]] += src.counts[i];
+}
+
+WeightSpan
+spanOf(const Weights &w)
+{
+    return {w.data(), nullptr, w.size()};
+}
+
+void
 foldWeights(Weights &dst, const Weights &src)
 {
-    if (dst.size() < src.size())
-        dst.resize(src.size(), 0);
-    for (size_t i = 0; i < src.size(); ++i)
-        dst[i] += src[i];
+    foldWeights(dst, spanOf(src));
 }
 
 void
@@ -123,6 +146,8 @@ struct Node
     }
 };
 
+/** A state-memo record in transport and debug-key form. The digest-
+ * keyed memo packs the same fields into StateTable slots. */
 struct VisitEntry
 {
     bool black = false; ///< subtree fully explored; finals memoised
@@ -292,21 +317,21 @@ struct Walker final : sim::ChoiceProvider
      * every leaf the PR-3 way. */
     std::unordered_map<Digest128, uint32_t, Digest128::Hasher>
         outcomeIds;
-    /** The state memo. Digest-keyed on the fast path; string-keyed
-     * (the PR-3 scheme, kept for cross-checking) in debug mode. Only
-     * the map matching opts->debugStateKeys is ever populated. */
-    std::unordered_map<Digest128, VisitEntry, Digest128::Hasher>
-        visited;
+    /** The state memo. Digest-keyed flat table on the fast path;
+     * string-keyed (full encodings, kept for cross-checking) in
+     * debug mode. Only the one matching opts->debugStateKeys is ever
+     * populated. */
+    StateTable visited;
     std::unordered_map<std::string, VisitEntry> visitedStr;
     ExploreStats stats;
 
     /** Pending cut, set by pickActor when it aborts a replay whose
      * continuation is memoised (exception-free: the machine returns
-     * out of the run on the kAbortRun sentinel). `cutMemo` points at
-     * the visited entry's finals — stable until the next map
-     * mutation, consumed immediately after the run returns. */
+     * out of the run on the kAbortRun sentinel). `cutMemo` views the
+     * visited entry's finals — stable until the next memo mutation,
+     * consumed immediately after the run returns. */
     bool cutPending = false;
-    const Weights *cutMemo = nullptr;
+    WeightSpan cutMemo;
     size_t cutTaint = SIZE_MAX;
 
     size_t depth = 0; ///< next choice index within the current replay
@@ -362,7 +387,6 @@ struct Walker final : sim::ChoiceProvider
         nIds = static_cast<size_t>(t.program.numThreads()) +
                static_cast<size_t>(chip.numSMs);
         curSleep.assign(nIds, 0);
-        visited.reserve(1u << 12);
         capReplays = o->maxReplays;
         capStates = o->maxStates;
     }
@@ -440,7 +464,7 @@ struct Walker final : sim::ChoiceProvider
     /** Abandon the current replay: record the cut for explore() and
      * hand the machine the abort sentinel. */
     size_t
-    cutRun(const Weights *memo, size_t taint_depth)
+    cutRun(WeightSpan memo, size_t taint_depth)
     {
         cutPending = true;
         cutMemo = memo;
@@ -474,24 +498,38 @@ struct Walker final : sim::ChoiceProvider
             // digest, no string materialised. Debug path: the PR-3
             // string key, byte for byte.
             uint64_t sig = machine.executedSignature();
-            VisitEntry *hit = nullptr;
+            bool hit = false, hitBlack = false;
+            size_t hitDepth = 0;
+            uint64_t hitSig = 0;
+            WeightSpan hitFinals;
             if (opts->debugStateKeys) {
                 scratch.clear();
                 machine.encodeState(scratch);
                 if (opts->sleepSets)
                     scratch.append(curSleep.begin(), curSleep.end());
                 auto it = visitedStr.find(scratch);
-                if (it != visitedStr.end())
-                    hit = &it->second;
+                if (it != visitedStr.end()) {
+                    const VisitEntry &e = it->second;
+                    hit = true;
+                    hitBlack = e.black;
+                    hitDepth = e.greyDepth;
+                    hitSig = e.executedSig;
+                    hitFinals = spanOf(e.finals);
+                }
             } else {
                 Hash128 h;
                 machine.hashState(h);
                 if (opts->sleepSets)
-                    h.putBytes(curSleep.data(), curSleep.size());
+                    hashSleep(h);
                 key = h.digest();
-                auto it = visited.find(key);
-                if (it != visited.end())
-                    hit = &it->second;
+                if (const StateTable::Slot *e = visited.find(key)) {
+                    hit = true;
+                    hitBlack = e->black();
+                    hitDepth = e->greyDepth();
+                    hitSig = e->executedSig;
+                    if (hitBlack)
+                        hitFinals = visited.finals(*e);
+                }
             }
             if (hit) {
                 ++stats.stateCuts;
@@ -499,11 +537,11 @@ struct Walker final : sim::ChoiceProvider
                 // the continuations differ only in the runaway
                 // guard's distance, so cut — the search terminates —
                 // but the exactness claim is gone.
-                if (hit->executedSig != sig)
+                if (hitSig != sig)
                     loopDedup = true;
-                if (hit->black)
-                    return cutRun(&hit->finals, SIZE_MAX);
-                return cutRun(nullptr, hit->greyDepth);
+                if (hitBlack)
+                    return cutRun(hitFinals, SIZE_MAX);
+                return cutRun({}, hitDepth);
             }
             if (shared) {
                 // Level 2: grey spine seeds — a cycle to an ancestor
@@ -522,7 +560,7 @@ struct Walker final : sim::ChoiceProvider
                     ++stats.stateCuts;
                     if (seed->sig != sig)
                         loopDedup = true;
-                    return cutRun(nullptr, seed->greyDepth);
+                    return cutRun({}, seed->greyDepth);
                 }
                 // Level 3: the committed map — black states from
                 // already-committed subtrees, i.e. states the
@@ -546,7 +584,7 @@ struct Walker final : sim::ChoiceProvider
                     ++stats.stateCuts;
                     if (csig != sig)
                         loopDedup = true;
-                    return cutRun(&cfinals, SIZE_MAX);
+                    return cutRun(spanOf(cfinals), SIZE_MAX);
                 }
                 // A miss that later turns out to be committed means
                 // this subtree's optimistic view diverged from the
@@ -562,11 +600,8 @@ struct Walker final : sim::ChoiceProvider
                 visitedStr.emplace(scratch,
                                    VisitEntry{false, d, sig, {}});
             else
-                visited.emplace(key, VisitEntry{false, d, sig, {}});
-            peakPrivate = std::max(peakPrivate,
-                                   opts->debugStateKeys
-                                       ? visitedStr.size()
-                                       : visited.size());
+                visited.insertGrey(key, d, sig);
+            peakPrivate = std::max(peakPrivate, memoSize());
             has_key = true;
         }
 
@@ -591,7 +626,7 @@ struct Walker final : sim::ChoiceProvider
                 else
                     visited.erase(key);
             }
-            return cutRun(nullptr, SIZE_MAX);
+            return cutRun({}, SIZE_MAX);
         }
 
         Node &node = pushNode(sim::ChoiceKind::Schedule,
@@ -619,6 +654,37 @@ struct Walker final : sim::ChoiceProvider
         }
         updateSleepAfter(node);
         return node.chosen;
+    }
+
+    // ---- memo plumbing ----------------------------------------------
+
+    size_t
+    memoSize() const
+    {
+        return opts->debugStateKeys ? visitedStr.size() : visited.size();
+    }
+
+    Weights
+    copyFinals(const StateTable::Slot &s) const
+    {
+        Weights w;
+        foldWeights(w, visited.finals(s));
+        return w;
+    }
+
+    /** Fold the sleep set into a state digest, eight actor flags per
+     * absorbed word. The flag count is fixed per exploration, so the
+     * packing is injective. */
+    void
+    hashSleep(Hash128 &h) const
+    {
+        const size_t n = curSleep.size();
+        for (size_t i = 0; i < n; i += 8) {
+            uint64_t word = 0;
+            std::memcpy(&word, curSleep.data() + i,
+                        std::min<size_t>(8, n - i));
+            h.put64(word);
+        }
     }
 
     // ---- sleep-set plumbing -----------------------------------------
@@ -675,7 +741,7 @@ struct Walker final : sim::ChoiceProvider
     // ---- subtree accounting -----------------------------------------
 
     void
-    contribute(const Weights &w)
+    contribute(WeightSpan w)
     {
         foldWeights(traceLen == 0 ? rootFinals
                                   : trace[traceLen - 1].finals,
@@ -710,20 +776,16 @@ struct Walker final : sim::ChoiceProvider
 
         if (top.isSchedule && top.hasKey) {
             bool closed = blacken && top.taint >= my_depth;
-            VisitEntry *entry = nullptr;
-            if (opts->debugStateKeys) {
-                auto it = visitedStr.find(top.stringKey);
-                if (it != visitedStr.end())
-                    entry = &it->second;
-            } else {
-                auto it = visited.find(top.key);
-                if (it != visited.end())
-                    entry = &it->second;
-            }
             if (closed) {
-                if (entry) {
-                    entry->black = true;
-                    entry->finals = top.finals;
+                if (opts->debugStateKeys) {
+                    auto it = visitedStr.find(top.stringKey);
+                    if (it != visitedStr.end()) {
+                        it->second.black = true;
+                        it->second.finals = top.finals;
+                    }
+                } else if (StateTable::Slot *e =
+                               visited.find(top.key)) {
+                    visited.blacken(*e, top.finals);
                 }
                 ++stats.distinctStates;
             } else {
@@ -817,8 +879,7 @@ struct Walker final : sim::ChoiceProvider
     size_t
     statesNow() const
     {
-        size_t states = opts->debugStateKeys ? visitedStr.size()
-                                             : visited.size();
+        size_t states = memoSize();
         if (shared)
             states += shared->committedCount() + shared->seedCount;
         return states;
@@ -913,8 +974,7 @@ struct Walker final : sim::ChoiceProvider
                 // The replay was abandoned at a memoised state
                 // (cutPending is set; the machine has no final
                 // state).
-                if (cutMemo)
-                    contribute(*cutMemo);
+                contribute(cutMemo);
                 if (cutTaint != SIZE_MAX)
                     taintDeepest(cutTaint);
             } else {
@@ -946,7 +1006,7 @@ struct Walker final : sim::ChoiceProvider
         visitedStr.clear();
         stats = ExploreStats{};
         cutPending = false;
-        cutMemo = nullptr;
+        cutMemo = {};
         cutTaint = SIZE_MAX;
         depth = 0;
         loopDedup = false;
@@ -982,11 +1042,10 @@ struct Walker final : sim::ChoiceProvider
         traceLen = need;
         floorKeep = b;
         for (const auto &[k, v] : t.seedGreys)
-            visited.emplace(k, v);
+            visited.insertGrey(k, v.greyDepth, v.executedSig);
         for (const auto &[k, v] : t.seedGreysStr)
             visitedStr.emplace(k, v);
-        peakPrivate = opts->debugStateKeys ? visitedStr.size()
-                                           : visited.size();
+        peakPrivate = memoSize();
     }
 
     /** Harvest the private memo's black states into the task record
@@ -1002,12 +1061,13 @@ struct Walker final : sim::ChoiceProvider
                                v.executedSig, std::move(v.finals)});
             }
         } else {
-            for (auto &[k, v] : visited) {
-                if (v.black)
+            visited.forEach([&](const StateTable::Slot &s) {
+                if (s.black())
                     t.blacks.emplace_back(
-                        k, DigestShardMap::Entry{
-                               v.executedSig, std::move(v.finals)});
-            }
+                        StateTable::keyOf(s),
+                        DigestShardMap::Entry{s.executedSig,
+                                              copyFinals(s)});
+            });
         }
     }
 };
@@ -1174,16 +1234,19 @@ struct Explorer::Impl
             }
             shared->seedCount = shared->seedsStr.size();
         } else {
-            for (const auto &[k, v] : w0.visited) {
-                if (v.black)
-                    shared->committed.insert(k, v.executedSig,
-                                             v.finals);
-                else if (v.greyDepth <= b)
+            w0.visited.forEach([&](const StateTable::Slot &s) {
+                Digest128 k = StateTable::keyOf(s);
+                if (s.black())
+                    shared->committed.insert(k, s.executedSig,
+                                             w0.copyFinals(s));
+                else if (s.greyDepth() <= b)
                     shared->seeds.emplace(
-                        k, SeedEntry{v.greyDepth, v.executedSig});
+                        k, SeedEntry{s.greyDepth(), s.executedSig});
                 else
-                    tasks[0]->seedGreys.emplace_back(k, v);
-            }
+                    tasks[0]->seedGreys.emplace_back(
+                        k, VisitEntry{false, s.greyDepth(),
+                                      s.executedSig, {}});
+            });
             shared->seedCount = shared->seeds.size();
         }
         shared->pool.store(w0.stats.replays,
@@ -1292,14 +1355,15 @@ struct Explorer::Impl
                     (void)fresh;
                 }
             } else {
-                for (auto &[k, v] : w.visited) {
-                    if (!v.black)
-                        continue;
+                w.visited.forEach([&](const StateTable::Slot &s) {
+                    if (!s.black())
+                        return;
                     bool fresh = shared->committed.insert(
-                        k, v.executedSig, std::move(v.finals));
+                        StateTable::keyOf(s), s.executedSig,
+                        w.copyFinals(s));
                     assert(fresh && "committed-state collision");
                     (void)fresh;
-                }
+                });
             }
         };
         uint64_t spent = w0.stats.replays;
@@ -1464,6 +1528,13 @@ struct Explorer::Impl
                 .add(w0.stats.replayedChoices);
             obs::gauge("mc_last_peak_depth")
                 .set(static_cast<int64_t>(w0.stats.peakDepth));
+            // The driving walker's memo: the whole state table of a
+            // sequential search, the pre-split and commit-fold table
+            // of a parallel one.
+            obs::gauge("mc_last_peak_states")
+                .set(static_cast<int64_t>(w0.peakPrivate));
+            obs::gauge("mc_state_table_bytes")
+                .set(static_cast<int64_t>(w0.visited.bytes()));
         }
         return result;
     }

@@ -50,8 +50,9 @@
  * which switches the memo back to full (collision-free) encodings —
  * the key-agreement tests explore the whole corpus in both modes and
  * require identical results and statistics, which is how a digest
- * collision would surface. Digests are stable within a build but are
- * not a serialisation format (common/hash.h).
+ * collision would surface. The digests key a flat open-addressing
+ * table (mc/statetable.h); they are stable within a build but are
+ * never persisted (sim/machine.h).
  *
  * Parallel exploration (ExploreOptions::shards > 1) work-steals
  * independent subtrees across a thread pool while keeping the

@@ -275,6 +275,7 @@ Machine::resetRun(ChoiceProvider &cp)
                 ChoiceKind::StartSkew,
                 static_cast<uint64_t>(opts_.skewMax)));
     }
+    dirtyStateHash();
 }
 
 bool
@@ -444,6 +445,7 @@ Machine::mainLoop(int start_step, ChoiceProvider &cp)
     // spins), finish deterministically in order.
     if (!allDone())
         truncated_ = true;
+    dirtyStateHash();
     for (int t = 0; t < nthreads; ++t) {
         ThreadState &ts = threads_[t];
         int guard = opts_.maxMicroSteps;
@@ -475,7 +477,7 @@ Machine::snapshot(Snapshot &out) const
     // Vector copy-assignment reuses the target's capacity (and its
     // elements' nested capacity), so a pooled snapshot costs only the
     // element copies after first use. SMs hosting no thread are
-    // invariant mid-run (see encodeTo) and skipped: restore() leaves
+    // invariant mid-run (see usedSms) and skipped: restore() leaves
     // the machine's — already correct — copies in place.
     out.threads = threads_;
     uint64_t used = 0;
@@ -501,8 +503,8 @@ Machine::restore(const Snapshot &snap)
     // resetRun(), so its per-run SM pool is unsized: bring it up to
     // the snapshot's SM count and give every slot the post-reset
     // empty state. Slots hosting no testing thread are unobservable
-    // (encodeTo skips them) and under the explorer never hold warm
-    // lines, so sibling and source states agree byte-for-byte.
+    // (the state keys skip them) and under the explorer never hold
+    // warm lines, so sibling and source states agree byte-for-byte.
     if (sms_.size() < snap.sms.size()) {
         int nlocs = static_cast<int>(locShared_.size());
         sms_.resize(snap.sms.size());
@@ -532,6 +534,11 @@ void
 Machine::threadAction(int tid, ChoiceProvider &cp)
 {
     ThreadState &ts = threads_[tid];
+    // A thread's step mutates only its own state, its SM's buffer and
+    // L1, and memory (hashed whole); writeToL2 marks the other SMs
+    // whose lines it changes. Any new mutation path must mark too.
+    ts.hashDirty = true;
+    sms_[ts.smId].hashDirty = true;
     if (ts.startDelay > 0) {
         --ts.startDelay;
         return;
@@ -899,6 +906,7 @@ Machine::writeToL2(int loc, int64_t value, int writer_sm,
         auto &line = sms_[s].l1[loc];
         if (!line)
             continue;
+        sms_[s].hashDirty = true;
         if (line->value == value) {
             line->stale = false;
             continue;
@@ -915,6 +923,7 @@ Machine::drainOne(int sm_id, ChoiceProvider &cp, bool in_order_only)
     SmState &sm = sms_[sm_id];
     if (sm.buffer.empty())
         return;
+    sm.hashDirty = true;
     size_t pick = 0;
     if (!in_order_only && sm.buffer.size() > 1 &&
         cp.chance(ChoiceKind::DrainReorder, chip_->drainOutOfOrder)) {
@@ -1136,9 +1145,9 @@ Machine::perform(int tid, const WindowEntry &e, ChoiceProvider &cp)
 
 namespace {
 
-/** Byte/word consumers for the one canonical state traversal: the
- * string sink materialises the encoding, the hash sink folds the same
- * byte stream straight into a 128-bit digest. */
+/** Byte/word consumers for the canonical state traversal: the string
+ * sink materialises the encoding, the hash sink folds the same field
+ * sequence straight into a 128-bit digest. */
 struct StringSink
 {
     std::string &out;
@@ -1153,12 +1162,44 @@ struct StringSink
     void put8(uint8_t v) { out.push_back(static_cast<char>(v)); }
 };
 
+/**
+ * Packs each run of consecutive put8 bytes into 64-bit words (up to
+ * eight bytes per absorb, flushed at the next put64 or at finish()),
+ * which cuts the serial absorb chain roughly in half. Injective: the
+ * traversal's call sequence is a function of values it has already
+ * emitted (lengths, L1 presence flags), so a decoder always knows how
+ * many bytes the current word holds.
+ */
 struct HashSink
 {
     Hash128 &h;
+    uint64_t word = 0;
+    unsigned bytes = 0;
 
-    void put64(uint64_t v) { h.put64(v); }
-    void put8(uint8_t v) { h.put8(v); }
+    void
+    put64(uint64_t v)
+    {
+        finish();
+        h.put64(v);
+    }
+
+    void
+    put8(uint8_t v)
+    {
+        word |= static_cast<uint64_t>(v) << (8 * bytes);
+        if (++bytes == 8)
+            finish();
+    }
+
+    void
+    finish()
+    {
+        if (bytes == 0)
+            return;
+        h.put64(word);
+        word = 0;
+        bytes = 0;
+    }
 };
 
 } // anonymous namespace
@@ -1174,9 +1215,8 @@ Machine::executedSignature() const
     return h;
 }
 
-template <typename Sink>
-void
-Machine::encodeTo(Sink &sink) const
+uint64_t
+Machine::usedSms() const
 {
     // SMs hosting no testing thread are invariant for the rest of the
     // run: their buffers only fill from their own threads (there are
@@ -1187,51 +1227,61 @@ Machine::encodeTo(Sink &sink) const
     uint64_t used = 0;
     for (const auto &ts : threads_)
         used |= 1ULL << (ts.smId & 63);
+    return used;
+}
 
-    for (const auto &ts : threads_) {
-        sink.put64(static_cast<uint64_t>(ts.pc));
-        sink.put8(static_cast<uint8_t>(ts.frontDone));
-        sink.put8(static_cast<uint8_t>(ts.startDelay));
-        sink.put64(ts.pendingRegs);
-        sink.put64(ts.wroteLocs);
-        sink.put64(ts.regs.size());
-        for (int64_t r : ts.regs)
-            sink.put64(static_cast<uint64_t>(r));
-        sink.put64(ts.window.size());
-        for (const auto &e : ts.window) {
-            sink.put8(static_cast<uint8_t>(e.kind));
-            sink.put8(static_cast<uint8_t>(e.op));
-            sink.put8(static_cast<uint8_t>(e.cacheOp));
-            sink.put8(static_cast<uint8_t>(e.scope));
-            sink.put64(static_cast<uint64_t>(e.loc));
-            sink.put8(static_cast<uint8_t>(e.shared));
-            sink.put64(static_cast<uint64_t>(e.dst));
-            sink.put64(static_cast<uint64_t>(e.src0));
-            sink.put64(static_cast<uint64_t>(e.src1));
-            sink.put8(static_cast<uint8_t>(e.delay));
-        }
+template <typename Sink>
+void
+Machine::encodeThread(const ThreadState &ts, Sink &sink)
+{
+    sink.put64(static_cast<uint64_t>(ts.pc));
+    sink.put8(static_cast<uint8_t>(ts.frontDone));
+    sink.put8(static_cast<uint8_t>(ts.startDelay));
+    sink.put64(ts.pendingRegs);
+    sink.put64(ts.wroteLocs);
+    sink.put64(ts.regs.size());
+    for (int64_t r : ts.regs)
+        sink.put64(static_cast<uint64_t>(r));
+    sink.put64(ts.window.size());
+    for (const auto &e : ts.window) {
+        sink.put8(static_cast<uint8_t>(e.kind));
+        sink.put8(static_cast<uint8_t>(e.op));
+        sink.put8(static_cast<uint8_t>(e.cacheOp));
+        sink.put8(static_cast<uint8_t>(e.scope));
+        sink.put64(static_cast<uint64_t>(e.loc));
+        sink.put8(static_cast<uint8_t>(e.shared));
+        sink.put64(static_cast<uint64_t>(e.dst));
+        sink.put64(static_cast<uint64_t>(e.src0));
+        sink.put64(static_cast<uint64_t>(e.src1));
+        sink.put8(static_cast<uint8_t>(e.delay));
     }
-    sink.put64(used);
-    for (size_t s = 0; s < sms_.size(); ++s) {
-        if (!((used >> (s & 63)) & 1))
+}
+
+template <typename Sink>
+void
+Machine::encodeSm(const SmState &sm, Sink &sink)
+{
+    sink.put64(sm.buffer.size());
+    for (const auto &b : sm.buffer) {
+        sink.put64(static_cast<uint64_t>(b.loc));
+        sink.put64(static_cast<uint64_t>(b.value));
+    }
+    for (const auto &line : sm.l1) {
+        if (!line) {
+            sink.put8(0);
             continue;
-        const SmState &sm = sms_[s];
-        sink.put64(sm.buffer.size());
-        for (const auto &b : sm.buffer) {
-            sink.put64(static_cast<uint64_t>(b.loc));
-            sink.put64(static_cast<uint64_t>(b.value));
         }
-        for (const auto &line : sm.l1) {
-            if (!line) {
-                sink.put8(0);
-                continue;
-            }
-            sink.put8(static_cast<uint8_t>(
-                1 | (line->stale ? 2 : 0) |
-                (line->staleFromOwnSM ? 4 : 0)));
-            sink.put64(static_cast<uint64_t>(line->value));
-        }
+        sink.put8(static_cast<uint8_t>(
+            1 | (line->stale ? 2 : 0) |
+            (line->staleFromOwnSM ? 4 : 0)));
+        sink.put64(static_cast<uint64_t>(line->value));
     }
+}
+
+template <typename Sink>
+void
+Machine::encodeMemory(Sink &sink) const
+{
     for (int64_t v : l2_)
         sink.put64(static_cast<uint64_t>(v));
     for (const auto &mem : sharedMem_) {
@@ -1244,14 +1294,73 @@ void
 Machine::encodeState(std::string &out) const
 {
     StringSink sink{out};
-    encodeTo(sink);
+    uint64_t used = usedSms();
+    for (const auto &ts : threads_)
+        encodeThread(ts, sink);
+    sink.put64(used);
+    for (size_t s = 0; s < sms_.size(); ++s) {
+        if ((used >> (s & 63)) & 1)
+            encodeSm(sms_[s], sink);
+    }
+    encodeMemory(sink);
 }
 
 void
 Machine::hashState(Hash128 &h) const
 {
-    HashSink sink{h};
-    encodeTo(sink);
+    // Threads and used SMs each keep a cached component digest,
+    // salted with the component's index and recomputed only when a
+    // step marked it dirty; the components XOR together. A scheduling
+    // step touches one thread and its SM (plus the SMs whose L1 lines
+    // an L2 write flips), so the rest come from the cache.
+    uint64_t lo = 0, hi = 0;
+    auto component = [&](uint64_t tag, bool &dirty, Digest128 &d,
+                         auto encode) {
+        if (dirty) {
+            Hash128 c;
+            c.put64(tag);
+            HashSink sink{c};
+            encode(sink);
+            sink.finish();
+            d = c.digest();
+            dirty = false;
+        }
+        lo ^= d.lo;
+        hi ^= d.hi;
+    };
+    for (size_t t = 0; t < threads_.size(); ++t) {
+        const ThreadState &ts = threads_[t];
+        component(t, ts.hashDirty, ts.hash,
+                  [&](HashSink &k) { encodeThread(ts, k); });
+    }
+    uint64_t used = usedSms();
+    for (size_t s = 0; s < sms_.size(); ++s) {
+        if (!((used >> (s & 63)) & 1))
+            continue;
+        const SmState &sm = sms_[s];
+        component((uint64_t{1} << 63) | s, sm.hashDirty, sm.hash,
+                  [&](HashSink &k) { encodeSm(sm, k); });
+    }
+    h.put64(lo);
+    h.put64(hi);
+    h.put64(used);
+    encodeMemory(h);
+}
+
+void
+Machine::hashStateFromScratch(Hash128 &h) const
+{
+    dirtyStateHash();
+    hashState(h);
+}
+
+void
+Machine::dirtyStateHash() const
+{
+    for (const auto &ts : threads_)
+        ts.hashDirty = true;
+    for (const auto &sm : sms_)
+        sm.hashDirty = true;
 }
 
 // ---------------------------------------------------------------------

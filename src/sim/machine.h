@@ -58,14 +58,18 @@
  *   target's storage, so a pooled snapshot is allocation-free after
  *   first use.
  *
- * - State-key stability: encodeState() and hashState() emit the same
- *   canonical byte stream (hashState folds it into a 128-bit digest
- *   without materialising it). Two states with equal encodings behave
- *   identically under identical future choices. The encoding — and
- *   therefore the digest — is stable within a process and across
- *   processes of one build, but is NOT a serialisation format: field
- *   layout may change between versions, so never persist keys or
- *   digests across builds (see common/hash.h).
+ * - State-key stability: encodeState() and hashState() share one set
+ *   of per-component encoders (each thread, each used SM, memory).
+ *   encodeState() appends the fields as a byte string; hashState()
+ *   digests each thread and used SM separately, XORs those cached
+ *   component digests, and folds the result with memory into a
+ *   128-bit digest — it is not the hash of the string. Two states
+ *   with equal encodings behave identically under identical future
+ *   choices and have equal digests. The encoding and the digest are
+ *   stable within a process and across processes of one build, but
+ *   are NOT a serialisation format: field layout, packing and
+ *   composition may change between versions, so never persist state
+ *   keys or state digests across builds.
  */
 
 #ifndef GPULITMUS_SIM_MACHINE_H
@@ -182,14 +186,25 @@ class Machine
     void encodeState(std::string &out) const;
 
     /**
-     * Fold the canonical state encoding into an incremental 128-bit
-     * hash with no intermediate buffer. hashState() and encodeState()
-     * are generated from one shared traversal, so they digest exactly
-     * the same fields in the same order and cannot drift: states with
-     * equal encodings have equal digests, and unequal encodings
-     * collide only with ~2^-128 probability (common/hash.h).
+     * Fold the canonical state into a 128-bit hash with no
+     * intermediate buffer. hashState() and encodeState() share their
+     * per-component encoders, so they cover exactly the same fields
+     * and cannot drift. Each thread and used SM has its own component
+     * digest (salted with its index; runs of byte-sized fields absorb
+     * eight to a word, injective because the field sequence is fixed
+     * by the values already emitted). Components are cached in the
+     * run state — snapshots carry them — and recomputed only when a
+     * step marked them dirty; their XOR, the used-SM mask and memory
+     * make up the state digest. States with equal encodings have
+     * equal digests, and unequal encodings collide only with ~2^-128
+     * probability (common/hash.h).
      */
     void hashState(Hash128 &h) const;
+
+    /** hashState() after discarding every cached component digest:
+     * the from-scratch recomputation the incremental cache must
+     * always agree with (the tests compare the two). */
+    void hashStateFromScratch(Hash128 &h) const;
 
     /**
      * Digest of the per-thread fetch counters. For loop-free
@@ -268,6 +283,11 @@ class Machine
         uint64_t pendingRegs = 0;
         std::vector<WindowEntry> window;
         uint64_t wroteLocs = 0; ///< bitmask over location indices
+        /** Cached component digest for hashState(); valid unless
+         * hashDirty. Every mutation site marks it dirty; snapshots
+         * carry it. */
+        mutable Digest128 hash;
+        mutable bool hashDirty = true;
 
         bool done() const { return frontDone && window.empty(); }
     };
@@ -289,6 +309,8 @@ class Machine
     {
         std::vector<std::optional<L1Line>> l1; ///< per location
         std::vector<BufferEntry> buffer;
+        mutable Digest128 hash; ///< as ThreadState::hash
+        mutable bool hashDirty = true;
     };
 
   public:
@@ -344,9 +366,17 @@ class Machine
      * at step 0, resume() at the snapshot's step. False when the
      * provider aborted the iteration. */
     bool mainLoop(int start_step, ChoiceProvider &cp);
-    /** One traversal generates both state encodings (see
-     * encodeState/hashState); Sink is a byte/word consumer. */
-    template <typename Sink> void encodeTo(Sink &sink) const;
+    /** Per-component encoders shared by encodeState and hashState;
+     * Sink is a byte/word consumer. */
+    template <typename Sink>
+    static void encodeThread(const ThreadState &ts, Sink &sink);
+    template <typename Sink>
+    static void encodeSm(const SmState &sm, Sink &sink);
+    template <typename Sink> void encodeMemory(Sink &sink) const;
+    /** Bitmask of the SMs hosting a testing thread. */
+    uint64_t usedSms() const;
+    /** Mark every cached component digest stale. */
+    void dirtyStateHash() const;
     bool allDone() const;
     void threadAction(int tid, ChoiceProvider &cp);
     bool issueReady(const ThreadState &ts, const CInstr &in) const;

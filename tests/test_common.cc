@@ -1,7 +1,8 @@
 /**
  * @file
  * Unit tests for the common utilities: RNG determinism and
- * distribution sanity, string helpers, table rendering.
+ * distribution sanity, string helpers, table rendering, and the
+ * pinned Hash128 construction.
  */
 
 #include <gtest/gtest.h>
@@ -9,6 +10,7 @@
 #include <set>
 #include <sstream>
 
+#include "common/hash.h"
 #include "common/rng.h"
 #include "common/strutil.h"
 #include "common/table.h"
@@ -189,6 +191,28 @@ TEST(Table, HandlesRaggedRows)
     t.row({"a"});
     t.row({"b", "c", "d"});
     EXPECT_NE(t.str().find("d"), std::string::npos);
+}
+
+TEST(Hash128, GoldenDigestsArePinned)
+{
+    // The result store persists Hash128 output (record checksums and
+    // job digests). A change to the construction must fail here, not
+    // silently orphan every existing store.
+    EXPECT_EQ(Hash128{}.digest(),
+              (Digest128{0xe9e0033e3badaf36ULL, 0xdfc7a99951f24649ULL}));
+
+    Hash128 h;
+    h.put64(0);
+    h.put64(1);
+    h.put64(0x0123456789abcdefULL);
+    h.put64(UINT64_MAX);
+    EXPECT_EQ(h.digest(),
+              (Digest128{0x3d03ea07381a3d23ULL, 0x6dc3ead33a9baeb9ULL}));
+
+    const char *text = "gpulitmus";
+    h.putBytes(reinterpret_cast<const uint8_t *>(text), 9);
+    EXPECT_EQ(h.digest(),
+              (Digest128{0xd9185e322a961453ULL, 0x960062c214070b2eULL}));
 }
 
 } // namespace

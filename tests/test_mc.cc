@@ -19,12 +19,15 @@
 #include <filesystem>
 #include <fstream>
 #include <sstream>
+#include <unordered_map>
 
 #include "cat/models.h"
 #include "eval/backend.h"
 #include "harness/campaign.h"
 #include "litmus/parser.h"
+#include "common/rng.h"
 #include "mc/explorer.h"
+#include "mc/statetable.h"
 #include "model/checker.h"
 
 #ifndef GPULITMUS_SOURCE_DIR
@@ -380,6 +383,146 @@ exists ((1:r2=0))
     // Loop states dedup across fetch-counter values, which trades
     // the exactness claim away: a spin test is honestly "bounded".
     EXPECT_FALSE(r.complete);
+}
+
+// ---------------------------------------------------------------------
+// StateTable: the flat state memo against std::unordered_map.
+// ---------------------------------------------------------------------
+
+/** The weights a table record stands for, as a dense vector without
+ * trailing zeros. */
+std::vector<uint64_t>
+denseOf(mc::WeightSpan w)
+{
+    std::vector<uint64_t> out;
+    for (size_t i = 0; i < w.size; ++i) {
+        size_t id = w.ids ? w.ids[i] : i;
+        if (out.size() <= id)
+            out.resize(id + 1, 0);
+        out[id] += w.counts[i];
+    }
+    while (!out.empty() && out.back() == 0)
+        out.pop_back();
+    return out;
+}
+
+TEST(StateTable, MatchesUnorderedMapUnderRandomOps)
+{
+    // Randomised insert/find/blacken/erase/clear against a node map.
+    // The table starts at 4 slots so growth runs many times, and half
+    // the keys home to the last slots of any table up to 256 slots,
+    // so probe runs and backward-shift erases wrap around the end.
+    // Some keys share `lo` and differ only in `hi`.
+    struct Ref
+    {
+        bool black = false;
+        size_t greyDepth = 0;
+        uint64_t sig = 0;
+        std::vector<uint64_t> finals;
+    };
+    Rng rng(20261017);
+    std::vector<Digest128> keys;
+    for (int i = 0; i < 400; ++i) {
+        uint64_t lo = rng.next();
+        if (i % 2)
+            lo |= 0xff - rng.below(4);
+        keys.push_back({lo, rng.next()});
+        if (i % 10 == 0)
+            keys.push_back({lo, rng.next()});
+    }
+    auto randomFinals = [&]() {
+        std::vector<uint64_t> w(rng.below(40), 0);
+        int shape = static_cast<int>(rng.below(3));
+        for (auto &v : w) {
+            // dense-ish, sparse-ish, or huge counts
+            if (shape == 0 || rng.below(8) == 0)
+                v = shape == 2 ? rng.next() : rng.below(5);
+        }
+        return w;
+    };
+
+    mc::StateTable table(4);
+    std::unordered_map<Digest128, Ref, Digest128::Hasher> ref;
+    auto check = [&](const Digest128 &k) {
+        mc::StateTable::Slot *s = table.find(k);
+        auto it = ref.find(k);
+        ASSERT_EQ(s != nullptr, it != ref.end());
+        if (!s)
+            return;
+        EXPECT_EQ(s->black(), it->second.black);
+        EXPECT_EQ(s->executedSig, it->second.sig);
+        if (s->black()) {
+            std::vector<uint64_t> want = it->second.finals;
+            while (!want.empty() && want.back() == 0)
+                want.pop_back();
+            EXPECT_EQ(denseOf(table.finals(*s)), want);
+        } else {
+            EXPECT_EQ(s->greyDepth(), it->second.greyDepth);
+        }
+    };
+    for (int op = 0; op < 60000; ++op) {
+        const Digest128 &k = keys[rng.below(keys.size())];
+        switch (rng.below(16)) {
+          case 0: case 1: case 2: case 3: case 4: case 5:
+            if (!ref.count(k)) {
+                size_t depth = rng.below(100);
+                uint64_t sig = rng.next();
+                table.insertGrey(k, depth, sig);
+                ref[k] = Ref{false, depth, sig, {}};
+            }
+            break;
+          case 6: case 7: case 8:
+            if (auto it = ref.find(k);
+                it != ref.end() && !it->second.black) {
+                std::vector<uint64_t> w = randomFinals();
+                mc::StateTable::Slot *s = table.find(k);
+                ASSERT_NE(s, nullptr);
+                table.blacken(*s, w);
+                it->second.black = true;
+                it->second.finals = w;
+            }
+            break;
+          case 9: case 10: case 11:
+            EXPECT_EQ(table.erase(k), ref.erase(k) == 1);
+            break;
+          case 12:
+            if (rng.below(200) == 0) {
+                table.clear();
+                ref.clear();
+            }
+            break;
+          default:
+            check(k);
+            break;
+        }
+        ASSERT_EQ(table.size(), ref.size()) << "op " << op;
+        if (op % 1000 == 0) {
+            size_t seen = 0;
+            table.forEach([&](const mc::StateTable::Slot &s) {
+                ++seen;
+                EXPECT_EQ(ref.count(mc::StateTable::keyOf(s)), 1u);
+            });
+            EXPECT_EQ(seen, ref.size());
+            for (const Digest128 &key : keys)
+                check(key);
+        }
+    }
+}
+
+TEST(StateTable, WeightRecordsLongerThanAPoolChunk)
+{
+    // A record past the pool's chunk size gets a chunk of its own;
+    // records before and after it stay addressable.
+    mc::StateTable table(4);
+    std::vector<uint64_t> small = {0, 3, 0, 1};
+    std::vector<uint64_t> big(200000, 2);
+    Digest128 a{1, 1}, b{2, 2}, c{3, 3};
+    table.blacken(table.insertGrey(a, 0, 0), small);
+    table.blacken(table.insertGrey(b, 1, 0), big);
+    table.blacken(table.insertGrey(c, 2, 0), small);
+    EXPECT_EQ(denseOf(table.finals(*table.find(a))), small);
+    EXPECT_EQ(denseOf(table.finals(*table.find(b))), big);
+    EXPECT_EQ(denseOf(table.finals(*table.find(c))), small);
 }
 
 // ---------------------------------------------------------------------

@@ -331,6 +331,11 @@ TEST_F(ObsTest, ExplorerTicksReplaysAndHeartbeat)
     EXPECT_EQ(reg.counter("mc_bounded_total").value(), 0u);
     EXPECT_EQ(reg.counter("mc_states_cached_total").value(),
               r.stats.distinctStates);
+    // Every memoised state stays in the table, so its high-water
+    // mark covers them, and each one occupies a 32-byte slot.
+    int64_t peak = reg.gauge("mc_last_peak_states").value();
+    EXPECT_GE(peak, static_cast<int64_t>(r.stats.distinctStates));
+    EXPECT_GE(reg.gauge("mc_state_table_bytes").value(), 32 * peak);
     // heartbeatEvery=8: one beat per 8 replays, modulo the tail.
     EXPECT_EQ(beats, r.stats.replays / 8);
 }

@@ -455,35 +455,119 @@ TEST(Snapshot, ResumeReproducesTheInterruptedRun)
     }
 }
 
+/** Samples a run and records the machine's (encoding, digest) pair
+ * at every scheduling point — where the explorer hashes — and once
+ * more at the end, checking each incremental digest against a
+ * from-scratch recomputation. Optionally snapshots at the
+ * `snapAt`-th point. */
+struct StateProbe final : ChoiceProvider
+{
+    Rng rng;
+    const Machine *machine;
+    int snapAt = -1;
+    int schedules = 0;
+    Machine::Snapshot snap;
+    size_t snapState = 0; ///< index into states at the snapshot
+    bool captured = false;
+    std::vector<std::pair<std::string, Digest128>> states;
+
+    StateProbe(uint64_t seed, const Machine *m) : rng(seed), machine(m)
+    {
+    }
+
+    uint64_t pick(ChoiceKind, uint64_t n) override { return rng.below(n); }
+    bool chance(ChoiceKind, double p, bool) override
+    {
+        return rng.chance(p);
+    }
+
+    size_t
+    pickActor(const ActorOption *, size_t n) override
+    {
+        record();
+        if (schedules++ == snapAt) {
+            machine->snapshot(snap);
+            snapState = states.size() - 1;
+            captured = true;
+        }
+        return static_cast<size_t>(rng.below(n));
+    }
+
+    void
+    record()
+    {
+        std::string enc;
+        machine->encodeState(enc);
+        Hash128 h;
+        machine->hashState(h);
+        Hash128 fresh;
+        machine->hashStateFromScratch(fresh);
+        EXPECT_EQ(h.digest(), fresh.digest())
+            << "stale cached component digest";
+        states.emplace_back(std::move(enc), h.digest());
+    }
+};
+
 TEST(Snapshot, HashStateMatchesEncodedStateEquality)
 {
-    // hashState and encodeState digest the same canonical traversal:
-    // across many sampled runs, equal encodings must give equal
-    // digests and distinct encodings distinct digests.
-    litmus::Test mp = pl::mp();
-    MachineOptions opts;
-    opts.inc = Incantations::all();
-    Machine machine(chip("Titan"), mp, opts);
-    Rng rng(99);
-    std::map<std::string, Digest128> seen;
-    for (int i = 0; i < 400; ++i) {
-        machine.run(rng);
-        std::string enc;
-        machine.encodeState(enc);
-        Hash128 h;
-        machine.hashState(h);
-        Digest128 d = h.digest();
-        auto it = seen.find(enc);
-        if (it != seen.end()) {
-            EXPECT_EQ(it->second, d);
-        } else {
-            for (const auto &[other, digest] : seen)
-                EXPECT_FALSE(digest == d)
-                    << "digest collision between distinct encodings";
-            seen.emplace(std::move(enc), d);
+    // hashState and encodeState cover the same canonical state:
+    // equal encodings must give equal digests and distinct encodings
+    // distinct digests, and the incremental digest must equal a
+    // from-scratch one. Checked at every scheduling point of sampled
+    // runs (where the explorer hashes), at run ends, and along runs
+    // resumed from a snapshot — whose first state must also reproduce
+    // the snapshotted state's encoding and digest exactly.
+    struct Case
+    {
+        litmus::Test test;
+        int column;
+    };
+    const Case cases[] = {
+        {pl::mp(), 16},
+        {pl::sb(), 16},
+        {pl::coRR(), 16},
+        {pl::casSl(false), 12},
+        {pl::mp(), 6},
+    };
+    std::map<std::string, Digest128> byEncoding;
+    std::map<std::pair<uint64_t, uint64_t>, std::string> byDigest;
+    auto check = [&](const std::string &enc, const Digest128 &d) {
+        auto [it, fresh] = byEncoding.emplace(enc, d);
+        if (!fresh) {
+            EXPECT_EQ(it->second, d) << "equal encodings, digests differ";
+            return;
+        }
+        auto [dit, dfresh] = byDigest.emplace(std::pair{d.lo, d.hi}, enc);
+        EXPECT_TRUE(dfresh || dit->second == enc)
+            << "digest collision between distinct encodings";
+    };
+    size_t resumed = 0;
+    for (const auto &c : cases) {
+        MachineOptions opts;
+        opts.inc = Incantations::fromColumn(c.column);
+        Machine machine(chip("Titan"), c.test, opts);
+        for (int i = 0; i < 150; ++i) {
+            StateProbe probe(1000 + static_cast<uint64_t>(i), &machine);
+            probe.snapAt = i % 9;
+            machine.run(probe);
+            probe.record();
+            for (const auto &[enc, d] : probe.states)
+                check(enc, d);
+            if (!probe.captured)
+                continue;
+            StateProbe tail(0xbeef + static_cast<uint64_t>(i), &machine);
+            machine.resume(probe.snap, tail);
+            tail.record();
+            ASSERT_FALSE(tail.states.empty());
+            EXPECT_EQ(tail.states.front(), probe.states[probe.snapState])
+                << c.test.name << " run " << i;
+            for (const auto &[enc, d] : tail.states)
+                check(enc, d);
+            ++resumed;
         }
     }
-    EXPECT_GT(seen.size(), 1u);
+    EXPECT_GT(byEncoding.size(), 100u);
+    EXPECT_GT(resumed, 100u);
 }
 
 TEST(Snapshot, OutcomeDigestMatchesFinalStateEquality)
