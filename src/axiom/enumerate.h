@@ -30,6 +30,8 @@ struct EnumeratorOptions
     int maxValuesPerLoc = 16;
     /** Hard cap on generated candidates (safety valve). */
     uint64_t maxCandidates = 1ULL << 20;
+
+    bool operator==(const EnumeratorOptions &other) const = default;
 };
 
 /**

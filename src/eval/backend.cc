@@ -21,18 +21,24 @@
 
 namespace gpulitmus::eval {
 
+EvalResult
+Backend::evaluate(const EvalJob &job) const
+{
+    return evaluate(harness::share(job));
+}
+
 // ---- SimBackend -----------------------------------------------------
 
 EvalResult
-SimBackend::evaluate(const EvalJob &job) const
+SimBackend::evaluate(std::shared_ptr<const EvalJob> job) const
 {
     harness::JobResult sim = harness::runJob(job);
     EvalResult result;
-    result.job = sim.job;
+    result.job = std::move(job);
     result.backend = name();
-    result.hist = std::move(sim.hist);
     result.observedPer100k = sim.observedPer100k;
     result.millis = sim.millis;
+    result.hist = harness::sharedHistogram(std::move(sim));
     return result;
 }
 
@@ -70,11 +76,11 @@ McBackend::optionsFor(const EvalJob &job)
 }
 
 EvalResult
-McBackend::evaluate(const EvalJob &job) const
+McBackend::evaluate(std::shared_ptr<const EvalJob> job) const
 {
-    auto owned = std::make_shared<EvalJob>(job);
+    const EvalJob &owned = *job;
     EvalResult result;
-    result.job = owned;
+    result.job = std::move(job);
     result.backend = name();
 
     // Static pre-pass (docs/ANALYSIS.md): a program with no racy pair
@@ -92,14 +98,14 @@ McBackend::evaluate(const EvalJob &job) const
         return v && *v && *v != '0';
     };
     if (!envSet("GPULITMUS_MC_NO_PREPASS")) {
-        analysis::Report rep = analysis::analyze(owned->test);
+        analysis::Report rep = analysis::analyze(owned.test);
         if (rep.fullyOrdered) {
             auto start = std::chrono::steady_clock::now();
-            if (auto sc = analysis::enumerateSc(owned->test)) {
+            if (auto sc = analysis::enumerateSc(owned.test)) {
                 mc::ExploreResult x;
-                x.testName = owned->test.name;
-                x.chipName = owned->chip.shortName;
-                x.column = owned->inc.column();
+                x.testName = owned.test.name;
+                x.chipName = owned.chip.shortName;
+                x.column = owned.inc.column();
                 x.complete = sc->complete;
                 x.fairComplete = true;
                 x.finals = std::move(sc->finals);
@@ -107,21 +113,23 @@ McBackend::evaluate(const EvalJob &job) const
                 for (const auto &[key, w] : x.finals)
                     x.paths += w;
                 x.stats.distinctStates = sc->states;
-                x.budgetReplays = owned->iterations;
+                x.budgetReplays = owned.iterations;
                 auto end = std::chrono::steady_clock::now();
                 x.millis = std::chrono::duration<double, std::milli>(
                                end - start)
                                .count();
-                result.exact = std::move(x);
-                result.millis = result.exact->millis;
+                result.millis = x.millis;
+                result.exact =
+                    std::make_shared<const mc::ExploreResult>(
+                        std::move(x));
                 return result;
             }
         }
     }
 
-    mc::Explorer explorer(owned->chip, owned->test,
-                          optionsFor(*owned));
-    result.exact = explorer.explore();
+    mc::Explorer explorer(owned.chip, owned.test, optionsFor(owned));
+    result.exact =
+        std::make_shared<const mc::ExploreResult>(explorer.explore());
     result.millis = result.exact->millis;
     return result;
 }
@@ -183,11 +191,11 @@ AxiomBackend::fromFile(const std::string &path, std::string *error)
 }
 
 EvalResult
-AxiomBackend::evaluate(const EvalJob &job) const
+AxiomBackend::evaluate(std::shared_ptr<const EvalJob> job) const
 {
-    auto owned = std::make_shared<EvalJob>(job);
+    const EvalJob &owned = *job;
     EvalResult result;
-    result.job = owned;
+    result.job = std::move(job);
     result.backend = name();
 
     // Out-of-scope tests (.ca/volatile/loops, model::inModelScope)
@@ -195,19 +203,20 @@ AxiomBackend::evaluate(const EvalJob &job) const
     // has nothing to say about — and, for looped programs, one that
     // would not terminate in useful time. The engine stays total
     // over arbitrary (scenario) grids; conformance joins skip these.
-    if (!model::inModelScope(owned->test)) {
-        model::Verdict v;
-        v.testName = owned->test.name;
-        v.modelName = name();
-        v.outOfScope = true;
-        v.verdict = "out-of-scope (.ca/volatile/loops, Sec. 5.5)";
+    if (!model::inModelScope(owned.test)) {
+        auto v = std::make_shared<model::Verdict>();
+        v->testName = owned.test.name;
+        v->modelName = name();
+        v->outOfScope = true;
+        v->verdict = "out-of-scope (.ca/volatile/loops, Sec. 5.5)";
         result.verdict = std::move(v);
         return result;
     }
 
     auto start = std::chrono::steady_clock::now();
     model::Checker checker(*model_, opts_);
-    result.verdict = checker.check(owned->test);
+    result.verdict = std::make_shared<const model::Verdict>(
+        checker.check(owned.test, *owned.testText()));
     auto end = std::chrono::steady_clock::now();
     result.millis =
         std::chrono::duration<double, std::milli>(end - start).count();
@@ -359,21 +368,19 @@ Engine::run(const std::vector<EvalJob> &jobs,
             const std::vector<EvalSink *> &sinks, ProgressFn progress)
 {
     // Resolve every backend up front so a typo'd id fails before any
-    // work is done, and workers never touch the registry lock.
+    // work is done, and workers never touch the registry lock. The
+    // map answers both the submitted id and the resolved name.
     std::unordered_map<std::string, std::shared_ptr<const Backend>>
         backends;
-    bool aliased = false;
     for (const auto &job : jobs) {
-        auto it = backends.find(job.backend);
-        if (it == backends.end()) {
-            std::string error;
-            auto backend = backendByName(job.backend, &error);
-            if (!backend)
-                fatal("%s", error.c_str());
-            it = backends.emplace(job.backend, std::move(backend))
-                     .first;
-        }
-        aliased |= it->second->name() != job.backend;
+        if (backends.count(job.backend))
+            continue;
+        std::string error;
+        auto backend = backendByName(job.backend, &error);
+        if (!backend)
+            fatal("%s", error.c_str());
+        backends.emplace(backend->name(), backend);
+        backends.emplace(job.backend, std::move(backend));
     }
 
     // Jobs naming a backend by an alias ("operational" for
@@ -387,62 +394,44 @@ Engine::run(const std::vector<EvalJob> &jobs,
     // (harness::intraJobThreads). Explicit job.shardThreads settings
     // are respected.
     const int intra = harness::intraJobThreads(jobs.size(), threads_);
-    bool shardedMc = false;
-    for (const auto &job : jobs)
-        shardedMc |= job.isMc() && job.shards > 1 &&
-                     job.shardThreads == 0;
-
-    std::vector<EvalJob> normalised;
-    const std::vector<EvalJob> *batch = &jobs;
-    if (aliased || shardedMc) {
-        normalised = jobs;
-        for (auto &job : normalised) {
-            const std::string resolved =
-                backends.at(job.backend)->name();
-            if (resolved != job.backend) {
-                if (!backends.count(resolved))
-                    backends.emplace(resolved,
-                                     backends.at(job.backend));
-                job.backend = resolved;
-            }
-            if (job.isMc() && job.shards > 1 &&
-                job.shardThreads == 0)
-                job.shardThreads = std::min(intra, job.shards);
-        }
-        batch = &normalised;
-    }
 
     harness::BatchOps<EvalJob, EvalResult> ops;
+    ops.share = [&backends, intra](const EvalJob &job,
+                                   const EvalJob *previous) {
+        EvalJob owned = job;
+        owned.backend = backends.at(job.backend)->name();
+        if (owned.isMc() && owned.shards > 1 && owned.shardThreads == 0)
+            owned.shardThreads = std::min(intra, owned.shards);
+        return harness::share(std::move(owned), previous);
+    };
     ops.cacheKey = [](const EvalJob &job) { return job.cacheKey(); };
     // The persistent store is the L2 behind the in-process cache: a
     // cache miss consults it before evaluating, and every computed
     // result feeds it.
-    ops.execute = [&backends, store = store_](const EvalJob &job) {
+    ops.execute = [&backends, store = store_](
+                      const std::shared_ptr<const EvalJob> &job) {
         if (store) {
             if (auto hit = store->fetchEval(job)) {
                 obs::counter("engine_jobs_from_store_total").add();
                 return std::make_shared<EvalResult>(std::move(*hit));
             }
         }
-        const Backend &backend = *backends.at(job.backend);
-        auto result =
-            std::make_shared<EvalResult>(backend.evaluate(job));
+        const Backend &backend = *backends.at(job->backend);
+        auto result = std::make_shared<EvalResult>(backend.evaluate(job));
         if (store)
-            store->putEval(job, *result);
+            store->putEval(*job, *result);
         return result;
     };
     // Re-label a shared result for the job that requested it: the
     // cache key ignores labels (and, for model cells, the whole
     // chip/incantation axis), so the served copy re-points at the
-    // submitted job and rebinds its histogram to stay self-contained.
-    // harness::Engine::run has the JobResult twin of this closure —
-    // keep the rebind invariant in sync there.
-    ops.servedFrom = [](const EvalResult &src, const EvalJob &requested) {
+    // submitted job. Its payloads stay shared: a histogram keeps
+    // referencing the content-identical test of the job that
+    // computed it, which it co-owns.
+    ops.servedFrom = [](const EvalResult &src,
+                        const std::shared_ptr<const EvalJob> &requested) {
         auto hit = std::make_shared<EvalResult>(src);
-        auto owned = std::make_shared<EvalJob>(requested);
-        if (hit->hist)
-            hit->hist->rebind(owned->test);
-        hit->job = std::move(owned);
+        hit->job = requested;
         hit->fromCache = true;
         hit->millis = 0.0;
         return hit;
@@ -451,19 +440,17 @@ Engine::run(const std::vector<EvalJob> &jobs,
         return job.backend + ":" + job.displayLabel();
     };
 
-    auto slots = harness::runBatch<EvalJob, EvalResult>(
-        *batch, threads_, cacheEnabled_ ? &cache_ : nullptr, ops,
-        std::move(progress));
-
     std::vector<EvalResult> results;
-    results.reserve(slots.size());
-    for (const auto &slot : slots) {
-        for (EvalSink *sink : sinks) {
-            if (sink)
-                sink->add(*slot);
-        }
-        results.push_back(*slot);
-    }
+    results.reserve(jobs.size());
+    harness::runBatch<EvalJob, EvalResult>(
+        jobs, threads_, cacheEnabled_ ? &cache_ : nullptr, ops,
+        std::move(progress), [&](const EvalResult &result) {
+            for (EvalSink *sink : sinks) {
+                if (sink)
+                    sink->add(result);
+            }
+            results.push_back(result);
+        });
     return results;
 }
 
@@ -490,46 +477,65 @@ toString(Conformance kind)
     return "?";
 }
 
+size_t
+ConformanceSink::CellIdHash::operator()(const CellId &id) const
+{
+    uint64_t h = harness::splitmix64(id.test ^ fnv1a(id.chip));
+    return harness::splitmix64(h ^ static_cast<uint64_t>(id.column));
+}
+
+size_t
+ConformanceSink::DeliveryHash::operator()(const Delivery &d) const
+{
+    return harness::splitmix64(d.first ^ fnv1a(d.second));
+}
+
+size_t
+ConformanceSink::testIndex(const EvalResult &result)
+{
+    auto text = result.job->testText();
+    std::vector<size_t> &bucket = testsByDigest_[text->digest];
+    for (size_t idx : bucket) {
+        const auto &known = tests_[idx].text;
+        if (known == text || known->text == text->text)
+            return idx;
+    }
+    bucket.push_back(tests_.size());
+    tests_.push_back({std::move(text), {}});
+    return bucket.back();
+}
+
+ConformanceSink::CellId
+ConformanceSink::cellOf(const EvalResult &result)
+{
+    return {testIndex(result), result.job->chip.shortName,
+            result.job->inc.column()};
+}
+
 void
 ConformanceSink::add(const EvalResult &result)
 {
     joined_.reset();
-    if (result.hasHist()) {
-        // Cache hits redeliver identical cells; keep the first per
-        // (cell, label) so re-runs do not duplicate rows but
-        // distinctly-labelled duplicates stay visible.
-        if (seenSims_
-                .insert({result.job->cacheKey(), result.label()})
-                .second) {
-            sims_.push_back({result.job, *result.hist,
-                             result.job->test.str()});
-        }
+    // Cache hits redeliver identical cells; keep the first per
+    // (cell, label) so re-runs do not duplicate rows but
+    // distinctly-labelled duplicates stay visible.
+    if (result.hasHist() &&
+        seenSims_.insert({result.job->cacheKey(), result.label()})
+            .second) {
+        sims_.push_back({result.job, result.hist, cellOf(result)});
+        simCells_.insert(sims_.back().cell);
     }
-    if (result.hasExact()) {
-        if (seenExacts_
-                .insert({result.job->cacheKey(), result.label()})
-                .second) {
-            exacts_.push_back({result.job, *result.exact,
-                               result.job->test.str()});
-        }
+    if (result.hasExact() &&
+        seenExacts_.insert({result.job->cacheKey(), result.label()})
+            .second) {
+        exacts_.push_back({result.job, result.exact, cellOf(result)});
+        exactOf_.try_emplace(exacts_.back().cell, exacts_.size() - 1);
     }
     // Out-of-scope refusals never join: the model said nothing, so
     // the cell must not read as trivially sound (or unsound).
     if (result.hasVerdict() && !result.verdict->outOfScope)
-        verdicts_[result.job->test.str()][result.backend] =
-            *result.verdict;
-}
-
-const ConformanceSink::ExactCell *
-ConformanceSink::exactFor(const std::string &text,
-                          const std::string &chip, int column) const
-{
-    for (const auto &e : exacts_) {
-        if (e.text == text && e.job->chip.shortName == chip &&
-            e.job->inc.column() == column)
-            return &e;
-    }
-    return nullptr;
+        tests_[testIndex(result)].verdicts[result.backend] =
+            result.verdict;
 }
 
 namespace {
@@ -622,52 +628,33 @@ ConformanceSink::cells() const
     if (joined_)
         return *joined_;
     std::vector<ConformanceCell> out;
-    for (const auto &sim : sims_) {
-        auto matching = verdicts_.find(sim.text);
-        if (matching == verdicts_.end())
-            continue;
-        const ExactCell *exact =
-            exactFor(sim.text, sim.job->chip.shortName,
-                     sim.job->inc.column());
-        for (const auto &[model, verdict] : matching->second) {
+    auto emit = [this, &out](const CellId &id, const EvalJob &job,
+                             const litmus::Histogram *hist,
+                             const mc::ExploreResult *exact) {
+        for (const auto &[model, verdict] : tests_[id.test].verdicts) {
             ConformanceCell cell;
-            cell.test = sim.job->displayLabel();
-            cell.chip = sim.job->chip.shortName;
-            cell.column = sim.job->inc.column();
+            cell.test = job.displayLabel();
+            cell.chip = id.chip;
+            cell.column = id.column;
             cell.model = model;
-            cell.runs = sim.hist.total();
-            classify(cell, verdict, &sim.hist.counts(),
-                     exact ? &exact->exact : nullptr);
+            cell.runs = hist ? hist->total() : 0;
+            classify(cell, *verdict, hist ? &hist->counts() : nullptr,
+                     exact);
             out.push_back(std::move(cell));
         }
+    };
+    for (const auto &sim : sims_) {
+        auto exact = exactOf_.find(sim.cell);
+        emit(sim.cell, *sim.job, sim.hist.get(),
+             exact == exactOf_.end()
+                 ? nullptr
+                 : exacts_[exact->second].exact.get());
     }
     // Explorations with no sim histogram of their own still make
     // cells: the exact set *is* the observation.
     for (const auto &exact : exacts_) {
-        bool simmed = false;
-        for (const auto &sim : sims_) {
-            simmed = simmed ||
-                     (sim.text == exact.text &&
-                      sim.job->chip.shortName ==
-                          exact.job->chip.shortName &&
-                      sim.job->inc.column() ==
-                          exact.job->inc.column());
-        }
-        if (simmed)
-            continue;
-        auto matching = verdicts_.find(exact.text);
-        if (matching == verdicts_.end())
-            continue;
-        for (const auto &[model, verdict] : matching->second) {
-            ConformanceCell cell;
-            cell.test = exact.job->displayLabel();
-            cell.chip = exact.job->chip.shortName;
-            cell.column = exact.job->inc.column();
-            cell.model = model;
-            cell.runs = 0;
-            classify(cell, verdict, nullptr, &exact.exact);
-            out.push_back(std::move(cell));
-        }
+        if (!simCells_.count(exact.cell))
+            emit(exact.cell, *exact.job, nullptr, exact.exact.get());
     }
     joined_ = std::move(out);
     return *joined_;

@@ -21,11 +21,13 @@
  *   (harness/batch.h) — sim cells keep their PR-1 RNG streams
  *   bit-identically, model cells collapse onto one evaluation per
  *   (backend, test);
- * - ConformanceSink joins the sim histograms against the model
- *   verdicts per (chip, test, incantation) cell and classifies each
- *   as sound, unsound (observed-but-forbidden) or imprecise
- *   (allowed-never-observed) — the Sec. 5.4 table as one campaign.
- *   Exact (mc) results join too and upgrade imprecise cells to
+ * - ConformanceSink pairs every simulated (chip, test, incantation)
+ *   cell with every model verdict for the same test, matched on the
+ *   test's 64-bit text digest with text equality as the collision
+ *   guard, and classifies each pair as sound, unsound
+ *   (observed-but-forbidden) or imprecise (allowed-never-observed) —
+ *   the Sec. 5.4 table as one campaign. Exact (mc) results join on
+ *   (digest, chip, column) and upgrade imprecise cells to
  *   rare/unreachable/bounded; the full verdict lattice and the
  *   exact-vs-sampled evidence semantics are documented in
  *   docs/VERDICTS.md.
@@ -48,8 +50,9 @@
 #include <map>
 #include <memory>
 #include <optional>
-#include <set>
 #include <string>
+#include <unordered_map>
+#include <unordered_set>
 #include <vector>
 
 #include "cat/cat.h"
@@ -72,27 +75,29 @@ using EvalJob = harness::Job;
 /**
  * Tagged result of evaluating one job under one backend: a histogram
  * (sim), a verdict (axiomatic), or — for joined sinks — either side
- * of the comparison. Self-contained: `job` owns the test the
- * histogram references.
+ * of the comparison. Self-contained and cheap to copy: the job and
+ * the payloads are shared and immutable, so cache hits, sinks and
+ * the returned vector never deep-copy a test, histogram or verdict.
  */
 struct EvalResult
 {
-    /** The job as submitted (shared so histograms, which reference
-     * their test, stay valid however results are copied around). */
+    /** The job as submitted (after backend-alias normalisation). */
     std::shared_ptr<const EvalJob> job;
     /** Resolved backend id ("sim", "ptx", "baseline", ...). */
     std::string backend;
 
-    /** Simulation side: the outcome histogram. */
-    std::optional<litmus::Histogram> hist;
+    /** Simulation side: the outcome histogram. It co-owns the job
+     * whose test it references — `job` itself, or for a cache hit
+     * the content-identical job that computed it. */
+    std::shared_ptr<const litmus::Histogram> hist;
     /** Observations normalised to per-100k, as the paper reports. */
     uint64_t observedPer100k = 0;
 
     /** Axiomatic side: the model verdict. */
-    std::optional<model::Verdict> verdict;
+    std::shared_ptr<const model::Verdict> verdict;
 
     /** Exhaustive side: the exact reachable set (mc backend). */
-    std::optional<mc::ExploreResult> exact;
+    std::shared_ptr<const mc::ExploreResult> exact;
 
     /** True when the engine served this cell from its cache (or from
      * a batch-mate with the same cache identity). */
@@ -103,9 +108,9 @@ struct EvalResult
     /** Wall-clock of the evaluation (0 for cache hits). */
     double millis = 0.0;
 
-    bool hasHist() const { return hist.has_value(); }
-    bool hasVerdict() const { return verdict.has_value(); }
-    bool hasExact() const { return exact.has_value(); }
+    bool hasHist() const { return hist != nullptr; }
+    bool hasVerdict() const { return verdict != nullptr; }
+    bool hasExact() const { return exact != nullptr; }
 
     const sim::ChipProfile &chip() const { return job->chip; }
     std::string label() const { return job->displayLabel(); }
@@ -124,8 +129,12 @@ class Backend
     /** Backend id; mixed into job keys and shown by sinks. */
     virtual std::string name() const = 0;
 
-    /** Evaluate one job to a tagged result. */
-    virtual EvalResult evaluate(const EvalJob &job) const = 0;
+    /** Evaluate one job to a tagged result that shares the job. */
+    virtual EvalResult
+    evaluate(std::shared_ptr<const EvalJob> job) const = 0;
+
+    /** evaluate() over a shared copy of `job` (harness::share). */
+    EvalResult evaluate(const EvalJob &job) const;
 };
 
 /** The operational simulator: wraps harness::runJob. Sim cells are
@@ -133,8 +142,10 @@ class Backend
 class SimBackend : public Backend
 {
   public:
+    using Backend::evaluate;
     std::string name() const override { return harness::kSimBackend; }
-    EvalResult evaluate(const EvalJob &job) const override;
+    EvalResult
+    evaluate(std::shared_ptr<const EvalJob> job) const override;
 };
 
 /**
@@ -148,8 +159,10 @@ class SimBackend : public Backend
 class McBackend : public Backend
 {
   public:
+    using Backend::evaluate;
     std::string name() const override { return harness::kMcBackend; }
-    EvalResult evaluate(const EvalJob &job) const override;
+    EvalResult
+    evaluate(std::shared_ptr<const EvalJob> job) const override;
 
     /** The explorer configuration a job maps to (shared with tests
      * and benches so they explore exactly what the backend runs). */
@@ -181,8 +194,10 @@ class AxiomBackend : public Backend
     static std::shared_ptr<AxiomBackend>
     fromFile(const std::string &path, std::string *error = nullptr);
 
+    using Backend::evaluate;
     std::string name() const override { return name_; }
-    EvalResult evaluate(const EvalJob &job) const override;
+    EvalResult
+    evaluate(std::shared_ptr<const EvalJob> job) const override;
 
     const cat::Model &model() const { return *model_; }
 
@@ -367,25 +382,26 @@ struct ConformanceCell
  * Joins simulation histograms against model verdicts: feed it a
  * mixed-backend campaign (sim + one or more model backends over the
  * same tests) and it pairs every simulated (chip, test, incantation)
- * cell with every verdict for the same test text, classifying each
- * pair. Results from the mc backend join too: an exact exploration
- * of the same (chip, test, incantation) upgrades the cell's verdict
- * (Imprecise -> Rare/Unreachable/Bounded, see Conformance) and adds
- * reachable-but-forbidden outcomes to the violations — a definitive
- * unsoundness proof that needs no sampling luck. Cells with an
- * exploration but no sim histogram are classified from the exact set
- * alone. Duplicate deliveries (cache hits) are deduplicated by cell
- * identity.
+ * cell with every verdict for the same test — matched on the test's
+ * text digest, with text equality guarding against collisions —
+ * classifying each pair. Results from the mc backend join too: an
+ * exact exploration of the same (chip, test, incantation) upgrades
+ * the cell's verdict (Imprecise -> Rare/Unreachable/Bounded, see
+ * Conformance) and adds reachable-but-forbidden outcomes to the
+ * violations — a definitive unsoundness proof that needs no sampling
+ * luck. Cells with an exploration but no sim histogram are classified
+ * from the exact set alone. Duplicate deliveries (cache hits) are
+ * deduplicated by cell identity.
  */
 class ConformanceSink : public EvalSink
 {
   public:
     void add(const EvalResult &result) override;
 
-    /** The join, in first-seen sim-cell order. Computed lazily and
-     * memoised until the next add(), so repeated accessors (summary,
-     * the classification counts) never redo the O(cells x models)
-     * pairing. */
+    /** The join, in first-seen sim-cell order (then exact-only
+     * cells, in first-seen order). Computed lazily and memoised
+     * until the next add(), so repeated accessors (summary, the
+     * classification counts) never redo the pairing. */
     const std::vector<ConformanceCell> &cells() const;
 
     /** Cell counts by classification (over cells()). */
@@ -408,37 +424,66 @@ class ConformanceSink : public EvalSink
     bool writeFile(const std::string &path) const;
 
   private:
+    /** One distinct test seen by the sink. */
+    struct TestEntry
+    {
+        std::shared_ptr<const litmus::TestText> text;
+        /** model id -> verdict, in model-id order. */
+        std::map<std::string, std::shared_ptr<const model::Verdict>>
+            verdicts;
+    };
+
+    /** A (test, chip, incantation column) cell: the exact join key. */
+    struct CellId
+    {
+        size_t test; ///< index into tests_
+        std::string chip;
+        int column;
+
+        bool operator==(const CellId &other) const = default;
+    };
+    struct CellIdHash
+    {
+        size_t operator()(const CellId &id) const;
+    };
+
+    /** A delivered cell (cache key, label): redeliveries collapse,
+     * distinctly-labelled submissions of one content keep rows. */
+    using Delivery = std::pair<uint64_t, std::string>;
+    struct DeliveryHash
+    {
+        size_t operator()(const Delivery &d) const;
+    };
+
     struct SimCell
     {
-        std::shared_ptr<const EvalJob> job; ///< owns the test
-        litmus::Histogram hist;
-        std::string text; ///< exact test text (join key)
+        std::shared_ptr<const EvalJob> job;
+        std::shared_ptr<const litmus::Histogram> hist;
+        CellId cell;
     };
 
     struct ExactCell
     {
-        std::shared_ptr<const EvalJob> job; ///< owns the test
-        mc::ExploreResult exact;
-        std::string text; ///< exact test text (join key)
+        std::shared_ptr<const EvalJob> job;
+        std::shared_ptr<const mc::ExploreResult> exact;
+        CellId cell;
     };
 
-    /** The exploration joined to a sim cell, matched on (test text,
-     * chip, incantation column); null when none was delivered. */
-    const ExactCell *exactFor(const std::string &text,
-                              const std::string &chip,
-                              int column) const;
+    /** Index of the result's test in tests_, added on first sight. */
+    size_t testIndex(const EvalResult &result);
+    CellId cellOf(const EvalResult &result);
 
+    std::vector<TestEntry> tests_;
+    /** text digest -> indices into tests_ of the tests with it. */
+    std::unordered_map<uint64_t, std::vector<size_t>> testsByDigest_;
     std::vector<SimCell> sims_;
     std::vector<ExactCell> exacts_;
-    /** Dedup of redelivered cells by (cache key, label): cache hits
-     * across runs collapse, while distinctly-labelled submissions of
-     * identical content keep their own rows. */
-    std::set<std::pair<uint64_t, std::string>> seenSims_;
-    std::set<std::pair<uint64_t, std::string>> seenExacts_;
-    /** test text -> model id -> verdict; keyed by the exact text so
-     * distinct tests can never collide into each other's verdicts. */
-    std::map<std::string, std::map<std::string, model::Verdict>>
-        verdicts_;
+    std::unordered_set<Delivery, DeliveryHash> seenSims_;
+    std::unordered_set<Delivery, DeliveryHash> seenExacts_;
+    /** Cells with a sim histogram (exact-only cells are the rest). */
+    std::unordered_set<CellId, CellIdHash> simCells_;
+    /** cell -> the first exploration delivered for it (exacts_). */
+    std::unordered_map<CellId, size_t, CellIdHash> exactOf_;
     /** Memoised join; reset by add(). */
     mutable std::optional<std::vector<ConformanceCell>> joined_;
 };

@@ -3,12 +3,14 @@
  * The generic deterministic batch core shared by every engine.
  *
  * Both the simulation engine (harness::Engine) and the multi-backend
- * evaluation engine (eval::Engine) need the same machinery: partition
- * a batch of jobs into compute work, cache hits and in-batch aliases;
- * shard the compute work over a worker pool; resolve the aliases; and
- * hand back results *in job order* so downstream output is
- * deterministic at any thread count. This header factors that core
- * out as a template over the (Job, Result) pair.
+ * evaluation engine (eval::Engine) need the same machinery: take each
+ * job as one shared immutable copy and key it; partition the batch
+ * into compute work, cache hits and in-batch aliases; shard the
+ * compute work over a worker pool; resolve the aliases; and deliver
+ * results *in job order* so downstream output is deterministic at any
+ * thread count. This header factors that core out as a template over
+ * the (Job, Result) pair. Results share their job and are shared by
+ * the cache, so serving a repeated cell copies no test.
  *
  * The contract that makes sharding safe is the same as in PR 1: a
  * job's result must be a pure function of the job itself (seeds are
@@ -120,15 +122,25 @@ intraJobThreads(size_t batchJobs, int poolThreads)
 template <typename Job, typename Result>
 struct BatchOps
 {
+    /** The engine's immutable shared copy of a submitted job
+     * (harness::share, after any engine normalisation). `previous` is
+     * the copy made for the job before it, so batch-mates naming one
+     * test can share its serialisation. Every later op and every
+     * result sees only these copies. */
+    std::function<std::shared_ptr<const Job>(const Job &,
+                                             const Job *previous)>
+        share;
     /** Cache identity of a job; jobs with equal keys have
      * interchangeable results (up to re-labelling). */
     std::function<uint64_t(const Job &)> cacheKey;
     /** Compute one job's result (called from worker threads). */
-    std::function<std::shared_ptr<const Result>(const Job &)> execute;
+    std::function<std::shared_ptr<const Result>(
+        const std::shared_ptr<const Job> &)>
+        execute;
     /** Re-point a computed/cached result at the job that requested
      * it (labels and other non-key identity), marking it served. */
-    std::function<std::shared_ptr<const Result>(const Result &,
-                                                const Job &)>
+    std::function<std::shared_ptr<const Result>(
+        const Result &, const std::shared_ptr<const Job> &)>
         servedFrom;
     /** Human label for telemetry spans (obs/trace.h); optional, only
      * consulted while a trace is being collected. */
@@ -136,49 +148,64 @@ struct BatchOps
 };
 
 /**
- * Execute a batch: cache/alias partition, worker pool, in-order
- * result slots. `cache` may be null (no memoisation — every job
- * computes, even duplicates). `progress` is invoked from worker
- * threads as *computed* jobs finish (cache hits and aliases are not
- * reported); completion order is nondeterministic.
+ * Execute a batch: share and key each job, cache/alias partition,
+ * worker pool, then hand every result to `deliver` in job order.
+ * `cache` may be null (no memoisation — every job computes, even
+ * duplicates). `progress` is invoked from worker threads as
+ * *computed* jobs finish (cache hits and aliases are not reported);
+ * completion order is nondeterministic.
  */
 template <typename Job, typename Result>
-std::vector<std::shared_ptr<const Result>>
+void
 runBatch(const std::vector<Job> &jobs, int threads,
          BatchCache<Result> *cache, const BatchOps<Job, Result> &ops,
          const std::function<void(size_t done, size_t total,
-                                  const Result &)> &progress = nullptr)
+                                  const Result &)> &progress,
+         const std::function<void(const Result &)> &deliver)
 {
     const size_t n = jobs.size();
+    const bool obs_on = obs::enabled();
+    auto micros_since = [](std::chrono::steady_clock::time_point t0) {
+        auto us =
+            std::chrono::duration_cast<std::chrono::microseconds>(
+                std::chrono::steady_clock::now() - t0)
+                .count();
+        return static_cast<uint64_t>(us < 0 ? 0 : us);
+    };
+    std::vector<std::shared_ptr<const Job>> owned(n);
     std::vector<std::shared_ptr<const Result>> slots(n);
 
     // Partition into compute jobs, cache hits and in-batch aliases.
     // An alias is a job whose cache key is owned by an earlier job in
     // this batch; it reuses that job's result instead of recomputing.
+    const auto partition_start = std::chrono::steady_clock::now();
     std::vector<size_t> compute;
+    std::vector<uint64_t> keys;
     std::vector<std::pair<size_t, size_t>> aliases; // (index, owner)
     uint64_t batch_hits = 0;
     {
         std::unordered_map<uint64_t, size_t> owner;
         compute.reserve(n);
+        if (cache)
+            keys.resize(n);
         for (size_t i = 0; i < n; ++i) {
+            owned[i] = ops.share(jobs[i], i ? owned[i - 1].get() : nullptr);
             if (!cache) {
                 compute.push_back(i);
                 continue;
             }
-            uint64_t key = ops.cacheKey(jobs[i]);
-            if (auto cached = cache->lookup(key)) {
-                slots[i] = ops.servedFrom(*cached, jobs[i]);
+            keys[i] = ops.cacheKey(*owned[i]);
+            if (auto cached = cache->lookup(keys[i])) {
+                slots[i] = ops.servedFrom(*cached, owned[i]);
                 ++batch_hits;
                 continue;
             }
-            auto claimed = owner.find(key);
-            if (claimed != owner.end()) {
+            auto [claimed, fresh] = owner.try_emplace(keys[i], i);
+            if (fresh) {
+                compute.push_back(i);
+            } else {
                 aliases.push_back({i, claimed->second});
                 ++batch_hits;
-            } else {
-                owner[key] = i;
-                compute.push_back(i);
             }
         }
         if (cache)
@@ -188,20 +215,14 @@ runBatch(const std::vector<Job> &jobs, int threads,
     // Telemetry observes the batch — counters and wall clocks only,
     // never job identity or sharding, so results stay bit-identical
     // with GPULITMUS_OBS on or off (tests/test_obs.cc pins this).
-    const bool obs_on = obs::enabled();
     if (obs_on) {
         obs::counter("engine_batches_total").add();
         obs::counter("engine_jobs_total").add(n);
         obs::counter("engine_jobs_cached_total").add(batch_hits);
+        obs::timer("engine_partition_us")
+            .record(micros_since(partition_start));
     }
     const auto batch_start = std::chrono::steady_clock::now();
-    auto micros_since = [](std::chrono::steady_clock::time_point t0) {
-        auto us =
-            std::chrono::duration_cast<std::chrono::microseconds>(
-                std::chrono::steady_clock::now() - t0)
-                .count();
-        return static_cast<uint64_t>(us < 0 ? 0 : us);
-    };
 
     // Shard the compute jobs over the pool. Results are pure
     // functions of their jobs, so any sharding is bit-identical.
@@ -224,12 +245,12 @@ runBatch(const std::vector<Job> &jobs, int threads,
             std::shared_ptr<const Result> result;
             {
                 obs::Span span(ops.describe && obs::Trace::active()
-                                   ? "job " + ops.describe(jobs[idx])
+                                   ? "job " + ops.describe(*owned[idx])
                                    : std::string("job"),
                                "engine");
                 const auto job_start =
                     std::chrono::steady_clock::now();
-                result = ops.execute(jobs[idx]);
+                result = ops.execute(owned[idx]);
                 if (obs_on) {
                     uint64_t us = micros_since(job_start);
                     obs::timer("engine_job_latency_us").record(us);
@@ -264,17 +285,21 @@ runBatch(const std::vector<Job> &jobs, int threads,
             t.join();
     }
 
-    // Resolve in-batch aliases now that their owners have run.
+    // Resolve in-batch aliases now that their owners have run,
+    // install computed results into the cache, and deliver in job
+    // order: deterministic at any thread count.
+    const auto deliver_start = std::chrono::steady_clock::now();
     for (auto [idx, owner_idx] : aliases)
-        slots[idx] = ops.servedFrom(*slots[owner_idx], jobs[idx]);
-
-    // Install computed results into the cache.
+        slots[idx] = ops.servedFrom(*slots[owner_idx], owned[idx]);
     if (cache) {
         for (size_t idx : compute)
-            cache->store(ops.cacheKey(jobs[idx]), slots[idx]);
+            cache->store(keys[idx], slots[idx]);
     }
-
-    return slots;
+    for (const auto &slot : slots)
+        deliver(*slot);
+    if (obs_on)
+        obs::timer("engine_deliver_us")
+            .record(micros_since(deliver_start));
 }
 
 } // namespace gpulitmus::harness

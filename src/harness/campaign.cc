@@ -116,7 +116,7 @@ Job::key() const
         // their histograms across the backend redesign.
         uint64_t h = splitmix64(seed);
         h = splitmix64(h ^ fnv1a(chip.shortName));
-        h = splitmix64(h ^ fnv1a(test.str()));
+        h = splitmix64(h ^ testDigest());
         h = splitmix64(h ^ static_cast<uint64_t>(inc.column()));
         return h;
     }
@@ -126,14 +126,14 @@ Job::key() const
         // mechanisms exist, so they shape the reachable set.
         uint64_t h = splitmix64(fnv1a(backend));
         h = splitmix64(h ^ fnv1a(chip.shortName));
-        h = splitmix64(h ^ fnv1a(test.str()));
+        h = splitmix64(h ^ testDigest());
         return splitmix64(h ^ static_cast<uint64_t>(inc.column()));
     }
     // A model evaluation depends only on (backend, test); excluding
     // the chip/incantation/seed axes lets a grid sweep collapse the
     // redundant cells onto one computation via the result cache.
     uint64_t h = splitmix64(fnv1a(backend));
-    return splitmix64(h ^ fnv1a(test.str()));
+    return splitmix64(h ^ testDigest());
 }
 
 uint64_t
@@ -175,6 +175,31 @@ Job::displayLabel() const
     return test.name + "#" + backend;
 }
 
+std::shared_ptr<const litmus::TestText>
+Job::testText() const
+{
+    return memo_.text ? memo_.text
+                      : std::make_shared<const litmus::TestText>(test);
+}
+
+uint64_t
+Job::testDigest() const
+{
+    return memo_.text ? memo_.text->digest : fnv1a(test.str());
+}
+
+std::shared_ptr<const Job>
+share(Job job, const Job *previous)
+{
+    auto owned = std::make_shared<Job>(std::move(job));
+    if (previous && previous->memo_.text && previous->test == owned->test)
+        owned->memo_.text = previous->memo_.text;
+    else
+        owned->memo_.text =
+            std::make_shared<const litmus::TestText>(owned->test);
+    return owned;
+}
+
 namespace {
 
 /**
@@ -182,36 +207,35 @@ namespace {
  * A sweep grid revisits the same (chip, test) under many incantation
  * columns and iteration counts; the compiled program depends on
  * neither, so one machine per pair serves the whole batch — each job
- * re-parameterises it via Machine::setOptions and runs. Entries own
- * copies of the chip profile and the test (the machine holds
- * references into its entry), so cached machines outlive the jobs
- * that created them. thread_local keeps workers lock-free and the
- * mutable run state un-shared.
+ * re-parameterises it via Machine::setOptions and runs. Entries share
+ * the job that created them (the machine holds references into its
+ * chip profile and test), so cached machines outlive the batch.
+ * thread_local keeps workers lock-free and the mutable run state
+ * un-shared.
  */
 struct CachedMachine
 {
-    sim::ChipProfile chip;
-    litmus::Test test;
-    std::string chipName; ///< collision guard alongside the test text
-    std::string text;
+    std::shared_ptr<const Job> job;
+    /** Collision guard alongside the chip name. */
+    std::shared_ptr<const litmus::TestText> text;
     std::optional<sim::Machine> machine;
 };
 
 sim::Machine &
-machineFor(const Job &job)
+machineFor(const std::shared_ptr<const Job> &job)
 {
     constexpr size_t kMaxEntries = 64;
     thread_local std::unordered_map<uint64_t,
                                     std::unique_ptr<CachedMachine>>
         cache;
 
-    std::string text = job.test.str();
-    uint64_t key = splitmix64(fnv1a(job.chip.shortName)) ^
-                   fnv1a(text);
+    auto text = job->testText();
+    uint64_t key =
+        splitmix64(fnv1a(job->chip.shortName)) ^ text->digest;
     auto it = cache.find(key);
     if (it != cache.end() &&
-        (it->second->chipName != job.chip.shortName ||
-         it->second->text != text)) {
+        (it->second->job->chip.shortName != job->chip.shortName ||
+         it->second->text->text != text->text)) {
         // 64-bit key collision (astronomically rare): evict rather
         // than risk simulating the wrong machine.
         cache.erase(it);
@@ -221,17 +245,15 @@ machineFor(const Job &job)
         if (cache.size() >= kMaxEntries)
             cache.clear();
         auto entry = std::make_unique<CachedMachine>();
-        entry->chip = job.chip;
-        entry->test = job.test;
-        entry->chipName = job.chip.shortName;
+        entry->job = job;
         entry->text = std::move(text);
-        entry->machine.emplace(entry->chip, entry->test,
+        entry->machine.emplace(job->chip, job->test,
                                sim::MachineOptions{});
         it = cache.emplace(key, std::move(entry)).first;
     }
     sim::MachineOptions opts;
-    opts.inc = job.inc;
-    opts.maxMicroSteps = job.maxMicroSteps;
+    opts.inc = job->inc;
+    opts.maxMicroSteps = job->maxMicroSteps;
     it->second->machine->setOptions(opts);
     return *it->second->machine;
 }
@@ -239,26 +261,24 @@ machineFor(const Job &job)
 } // namespace
 
 JobResult
-runJob(Job job)
+runJob(std::shared_ptr<const Job> job)
 {
-    if (!job.isSim()) {
+    if (!job->isSim()) {
         fatal("job '%s' names backend '%s'; harness::runJob simulates"
               " only — evaluate mixed-backend batches via eval::Engine",
-              job.displayLabel().c_str(), job.backend.c_str());
+              job->displayLabel().c_str(), job->backend.c_str());
     }
-    auto owned = std::make_shared<Job>(std::move(job));
-
-    JobResult result{owned, litmus::Histogram(owned->test)};
+    JobResult result{job, litmus::Histogram(job->test)};
 
     // One compiled machine per (chip, test) per worker thread; the
     // job only re-parameterises the runtime options. Bit-identical
     // to compiling fresh: the compiled program is a pure function of
     // the test, and every run draws only from the job-derived RNG.
-    sim::Machine &machine = machineFor(*owned);
-    Rng rng(owned->derivedSeed());
+    sim::Machine &machine = machineFor(job);
+    Rng rng(job->derivedSeed());
 
     auto start = std::chrono::steady_clock::now();
-    for (uint64_t i = 0; i < owned->iterations; ++i)
+    for (uint64_t i = 0; i < job->iterations; ++i)
         result.hist.record(machine.run(rng));
     auto end = std::chrono::steady_clock::now();
     result.millis =
@@ -266,7 +286,7 @@ runJob(Job job)
 
     if (obs::enabled()) {
         obs::counter("sim_jobs_total").add();
-        obs::counter("sim_iterations_total").add(owned->iterations);
+        obs::counter("sim_iterations_total").add(job->iterations);
     }
 
     if (result.hist.total() > 0) {
@@ -274,6 +294,19 @@ runJob(Job job)
             result.hist.observed() * 100000 / result.hist.total();
     }
     return result;
+}
+
+std::shared_ptr<const litmus::Histogram>
+sharedHistogram(JobResult result)
+{
+    auto owner = std::make_shared<const JobResult>(std::move(result));
+    return {owner, &owner->hist};
+}
+
+JobResult
+runJob(Job job)
+{
+    return runJob(share(std::move(job)));
 }
 
 // ---- TableSink ------------------------------------------------------
@@ -415,52 +448,49 @@ Engine::run(const std::vector<Job> &jobs,
     }
 
     BatchOps<Job, JobResult> ops;
+    ops.share = [](const Job &job, const Job *previous) {
+        return share(job, previous);
+    };
     ops.cacheKey = [](const Job &job) { return job.cacheKey(); };
     // The persistent store is the L2 behind the in-process cache: a
     // cache miss consults it before simulating, and every simulated
     // cell feeds it.
-    ops.execute = [store = store_](const Job &job) {
+    ops.execute = [store = store_](const std::shared_ptr<const Job> &job) {
         if (store) {
             if (auto hit = store->fetchSim(job))
                 return std::make_shared<JobResult>(std::move(*hit));
         }
         auto result = std::make_shared<JobResult>(runJob(job));
         if (store)
-            store->putSim(job, *result);
+            store->putSim(*job, *result);
         return result;
     };
     // A cache or alias hit keeps the computed histogram but must
     // carry the *submitted* job's identity (label, etc.), which the
-    // cache key deliberately ignores. Copy the result, then repoint
-    // it (and its histogram's internal Test reference) at a copy of
-    // the submitted job so the result is correctly labelled and
-    // self-contained. eval::Engine::run has the EvalResult twin of
-    // this closure — keep the rebind invariant in sync there.
-    ops.servedFrom = [](const JobResult &src, const Job &requested) {
+    // cache key deliberately ignores: the copy re-points at the
+    // submitted job and rebinds its histogram's Test reference there.
+    ops.servedFrom = [](const JobResult &src,
+                        const std::shared_ptr<const Job> &requested) {
         auto hit = std::make_shared<JobResult>(src);
-        auto owned = std::make_shared<Job>(requested);
-        hit->hist.rebind(owned->test);
-        hit->job = std::move(owned);
+        hit->hist.rebind(requested->test);
+        hit->job = requested;
         hit->fromCache = true;
         hit->millis = 0.0;
         return hit;
     };
     ops.describe = [](const Job &job) { return job.displayLabel(); };
 
-    auto slots = runBatch<Job, JobResult>(
-        jobs, threads_, cacheEnabled_ ? &cache_ : nullptr, ops,
-        std::move(progress));
-
-    // Deliver to sinks in job order: deterministic at any thread count.
     std::vector<JobResult> results;
-    results.reserve(slots.size());
-    for (const auto &slot : slots) {
-        for (ResultSink *sink : sinks) {
-            if (sink)
-                sink->add(*slot);
-        }
-        results.push_back(*slot);
-    }
+    results.reserve(jobs.size());
+    runBatch<Job, JobResult>(
+        jobs, threads_, cacheEnabled_ ? &cache_ : nullptr, ops,
+        std::move(progress), [&](const JobResult &result) {
+            for (ResultSink *sink : sinks) {
+                if (sink)
+                    sink->add(result);
+            }
+            results.push_back(result);
+        });
     return results;
 }
 

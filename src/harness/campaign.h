@@ -16,6 +16,11 @@
  * what the single-shot `harness::run` wrapper produces for the same
  * cell.
  *
+ * The engines own a batch as immutable shared jobs (share()), each
+ * carrying its test's text and digest (litmus::TestText) computed once
+ * per distinct test; every key, cache lookup and result of the batch
+ * reads that memo and points at that one copy of the job.
+ *
  * The Engine memoises results in an in-process cache keyed by job
  * hash, so a sweep that revisits a cell (as the Tab. 2 summary does)
  * computes it once.
@@ -39,6 +44,7 @@
 #include <memory>
 #include <mutex>
 #include <string>
+#include <type_traits>
 #include <unordered_map>
 #include <vector>
 
@@ -130,6 +136,9 @@ int defaultShards();
  */
 struct Job
 {
+    friend std::shared_ptr<const Job> share(Job job,
+                                            const Job *previous);
+
     /** Which engine evaluates this cell: kSimBackend (the default),
      * or any id eval::backendByName resolves ("ptx", "baseline",
      * a .cat file path, ...). harness::Engine executes sim jobs only;
@@ -191,7 +200,45 @@ struct Job
     /** label, or "<test>@<chip>" ("<test>@<chip>#mc" for mc jobs,
      * "<test>#<backend>" for model jobs) when unset. */
     std::string displayLabel() const;
+
+    /** The test's text and digest, from which key(), cacheKey() and
+     * derivedSeed() derive: the memo of a shared job, otherwise
+     * computed afresh. */
+    std::shared_ptr<const litmus::TestText> testText() const;
+
+  private:
+    /** The test identity share() sealed into an immutable job.
+     * Copying or assigning a job drops it, so an edited copy can
+     * never read a stale text. */
+    struct TextMemo
+    {
+        TextMemo() = default;
+        TextMemo(const TextMemo &) noexcept {}
+        TextMemo &
+        operator=(const TextMemo &) noexcept
+        {
+            text.reset();
+            return *this;
+        }
+
+        std::shared_ptr<const litmus::TestText> text;
+    };
+
+    uint64_t testDigest() const;
+
+    TextMemo memo_;
 };
+// Containers must move jobs when they grow, never copy their tests.
+static_assert(std::is_nothrow_move_constructible_v<Job>);
+
+/**
+ * An immutable shared copy of `job` with its test identity memoised —
+ * the form the engines own a batch in. When `previous` (a job
+ * returned by share()) names an equal test, its identity is reused
+ * instead of re-serialising: campaign grids put the test axis
+ * outermost, so a batch serialises each distinct test once.
+ */
+std::shared_ptr<const Job> share(Job job, const Job *previous = nullptr);
 
 /** Result of one job: the full histogram plus provenance. */
 struct JobResult
@@ -215,9 +262,17 @@ struct JobResult
     int column() const { return job->inc.column(); }
 };
 
+/** Move a result into shared ownership and return its histogram: the
+ * pointer co-owns the job whose test the histogram references. */
+std::shared_ptr<const litmus::Histogram>
+sharedHistogram(JobResult result);
+
 /** Execute one job synchronously on the calling thread. This is the
  * single source of truth for how a cell is simulated; `harness::run`
- * and the Engine's workers both call it. */
+ * and the Engine's workers both call it. The result shares `job`. */
+JobResult runJob(std::shared_ptr<const Job> job);
+
+/** runJob over a shared copy of `job`. */
 JobResult runJob(Job job);
 
 /**

@@ -108,6 +108,20 @@ Condition::collectLocs(std::vector<std::string> &out) const
         c->collectLocs(out);
 }
 
+bool
+Condition::operator==(const Condition &other) const
+{
+    if (kind_ != other.kind_ || tid_ != other.tid_ ||
+        name_ != other.name_ || value_ != other.value_ ||
+        children_.size() != other.children_.size())
+        return false;
+    for (size_t i = 0; i < children_.size(); ++i) {
+        if (!(*children_[i] == *other.children_[i]))
+            return false;
+    }
+    return true;
+}
+
 std::string
 Condition::str() const
 {

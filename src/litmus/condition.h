@@ -57,6 +57,9 @@ class Condition
 
     Kind kind() const { return kind_; }
 
+    /** Structural equality (children compared by value). */
+    bool operator==(const Condition &other) const;
+
   private:
     Kind kind_;
     // RegEq / LocEq payload

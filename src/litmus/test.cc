@@ -83,6 +83,11 @@ Test::str() const
     return out;
 }
 
+TestText::TestText(const Test &test)
+    : text(test.str()), digest(fnv1a(text))
+{
+}
+
 std::vector<RegKey>
 Test::observedRegs() const
 {

@@ -93,6 +93,23 @@ struct Test
 
     /** Validate internal consistency (thread counts, labels, locs). */
     void validate() const;
+
+    /** Structural equality; equal tests have equal str(). */
+    bool operator==(const Test &other) const = default;
+};
+
+/**
+ * A test's identity for keying: its serialised text (Test::str()) and
+ * the 64-bit FNV-1a digest of that text. Job keys, the simulator's
+ * machine cache, the enumeration memo and the conformance join all
+ * derive from one instance per test instead of re-serialising it.
+ */
+struct TestText
+{
+    explicit TestText(const Test &test);
+
+    std::string text;
+    uint64_t digest;
 };
 
 /**

@@ -4,6 +4,7 @@
 #include <mutex>
 #include <unordered_map>
 
+#include "common/hash.h"
 #include "common/log.h"
 
 namespace gpulitmus::model {
@@ -12,7 +13,7 @@ namespace {
 
 /**
  * Process-wide memo of candidate-execution enumerations, keyed by
- * test text and enumerator options. Enumeration dominates a
+ * test text digest and enumerator options. Enumeration dominates a
  * validation sweep's model-side cost; a test checked against N models
  * (or revisited across campaign cells) enumerates once. Bounded by a
  * coarse clear-at-capacity policy — sweeps visit tests with strong
@@ -23,17 +24,19 @@ class EnumerationCache
 {
   public:
     std::shared_ptr<const std::vector<axiom::Execution>>
-    get(const litmus::Test &test, const axiom::EnumeratorOptions &opts)
+    get(const litmus::Test &test, const litmus::TestText &text,
+        const axiom::EnumeratorOptions &opts)
     {
-        // Keyed by the full test text plus the option values — exact,
-        // never by hash alone, so distinct tests can never collide
-        // into each other's candidate sets.
-        std::string key = keyFor(test, opts);
+        // Keyed by the text digest plus the option values; a hit must
+        // also match the full text and options, so distinct tests can
+        // never collide into each other's candidate sets.
+        const uint64_t key = keyFor(text.digest, opts);
         {
             std::lock_guard<std::mutex> lock(mutex_);
             auto it = map_.find(key);
-            if (it != map_.end())
-                return it->second;
+            if (it != map_.end() && it->second.text == text.text &&
+                it->second.opts == opts)
+                return it->second.execs;
         }
         // Enumerate outside the lock; a concurrent duplicate is
         // wasted work, not an error.
@@ -43,7 +46,7 @@ class EnumerationCache
         std::lock_guard<std::mutex> lock(mutex_);
         if (map_.size() >= kMaxEntries)
             map_.clear();
-        map_.emplace(std::move(key), execs);
+        map_.insert_or_assign(key, Entry{text.text, opts, execs});
         return execs;
     }
 
@@ -62,14 +65,22 @@ class EnumerationCache
     }
 
   private:
-    static std::string
-    keyFor(const litmus::Test &test,
-           const axiom::EnumeratorOptions &opts)
+    struct Entry
     {
-        return test.str() + "\n#opts " +
-               std::to_string(opts.maxStepsPerThread) + " " +
-               std::to_string(opts.maxValuesPerLoc) + " " +
-               std::to_string(opts.maxCandidates);
+        std::string text; ///< collision guard
+        axiom::EnumeratorOptions opts;
+        std::shared_ptr<const std::vector<axiom::Execution>> execs;
+    };
+
+    static uint64_t
+    keyFor(uint64_t digest, const axiom::EnumeratorOptions &opts)
+    {
+        Hash128 h;
+        h.put64(digest);
+        h.put64(static_cast<uint64_t>(opts.maxStepsPerThread));
+        h.put64(static_cast<uint64_t>(opts.maxValuesPerLoc));
+        h.put64(opts.maxCandidates);
+        return h.digest().lo;
     }
 
     // Candidate sets can be large (up to maxCandidates executions);
@@ -78,10 +89,7 @@ class EnumerationCache
     // reuse even with a worker pool interleaving a few tests.
     static constexpr size_t kMaxEntries = 64;
     mutable std::mutex mutex_;
-    std::unordered_map<
-        std::string,
-        std::shared_ptr<const std::vector<axiom::Execution>>>
-        map_;
+    std::unordered_map<uint64_t, Entry> map_;
 };
 
 EnumerationCache &
@@ -132,13 +140,20 @@ Checker::Checker(const cat::Model &model, axiom::EnumeratorOptions opts)
 Verdict
 Checker::check(const litmus::Test &test) const
 {
+    return check(test, litmus::TestText(test));
+}
+
+Verdict
+Checker::check(const litmus::Test &test,
+               const litmus::TestText &text) const
+{
     Verdict v;
     v.testName = test.name;
     v.modelName = model_->name();
 
     litmus::Histogram keyer(test);
 
-    auto shared = enumerationCache().get(test, opts_);
+    auto shared = enumerationCache().get(test, text, opts_);
     const std::vector<axiom::Execution> &executions = *shared;
     v.numCandidates = executions.size();
 

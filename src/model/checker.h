@@ -60,7 +60,7 @@ struct Verdict
  * Evaluates tests against a .cat model.
  *
  * Candidate-execution enumeration — the hot path of a validation
- * sweep — is memoised process-wide by (test text, enumerator
+ * sweep — is memoised process-wide by (test text digest, enumerator
  * options), so checking one test against N models enumerates its
  * executions once. The memo is shared by every Checker instance and
  * is safe to hit from campaign worker threads.
@@ -72,6 +72,10 @@ class Checker
                      axiom::EnumeratorOptions opts = {});
 
     Verdict check(const litmus::Test &test) const;
+    /** check() with the test's identity already at hand (keys the
+     * enumeration memo without re-serialising). */
+    Verdict check(const litmus::Test &test,
+                  const litmus::TestText &text) const;
 
     /** Shorthand: does the model allow the condition body? */
     bool allows(const litmus::Test &test) const;

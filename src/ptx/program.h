@@ -37,6 +37,8 @@ struct ThreadProgram
 
     /** Multi-line canonical text. */
     std::string str() const;
+
+    bool operator==(const ThreadProgram &other) const = default;
 };
 
 /** All threads of a litmus test. */
@@ -51,6 +53,8 @@ struct Program
 
     /** Side-by-side columns, litmus style. */
     std::string str() const;
+
+    bool operator==(const Program &other) const = default;
 };
 
 } // namespace gpulitmus::ptx

@@ -547,7 +547,7 @@ ResultStore::digestFor(const harness::Job &job)
     };
     put(kAbiVersionString);
     put(job.backend);
-    put(job.test.str());
+    put(job.testText()->text);
     if (job.isSim() || job.isMc()) {
         // Chip + column select the machine mechanisms; iterations are
         // the sampling depth / replay budget; the micro-step cap
@@ -587,26 +587,50 @@ ResultStore::lookup(const Digest128 &key)
 }
 
 std::optional<eval::EvalResult>
-ResultStore::fetchEval(const harness::Job &job)
+ResultStore::fetchEval(const std::shared_ptr<const harness::Job> &job)
 {
-    auto rec = lookup(digestFor(job));
+    auto rec = lookup(digestFor(*job));
     if (!rec)
         return std::nullopt;
 
     eval::EvalResult result;
-    auto owned = std::make_shared<harness::Job>(job);
+    result.job = job;
     result.backend = rec->backend;
     if (rec->hasHist) {
-        litmus::Histogram hist(owned->test);
-        hist.restore(rec->counts, rec->observed, rec->total);
-        result.hist = std::move(hist);
+        harness::JobResult sim{job, litmus::Histogram(job->test)};
+        sim.hist.restore(rec->counts, rec->observed, rec->total);
+        result.hist = harness::sharedHistogram(std::move(sim));
         result.observedPer100k = rec->observedPer100k;
     }
     if (rec->verdict)
-        result.verdict = *rec->verdict;
+        result.verdict =
+            std::make_shared<const model::Verdict>(*rec->verdict);
     if (rec->exact)
-        result.exact = *rec->exact;
-    result.job = std::move(owned);
+        result.exact =
+            std::make_shared<const mc::ExploreResult>(*rec->exact);
+    result.fromStore = true;
+    result.millis = 0.0;
+    return result;
+}
+
+std::optional<eval::EvalResult>
+ResultStore::fetchEval(const harness::Job &job)
+{
+    return fetchEval(harness::share(job));
+}
+
+std::optional<harness::JobResult>
+ResultStore::fetchSim(const std::shared_ptr<const harness::Job> &job)
+{
+    if (!job->isSim())
+        return std::nullopt;
+    auto rec = lookup(digestFor(*job));
+    if (!rec || !rec->hasHist)
+        return std::nullopt;
+
+    harness::JobResult result{job, litmus::Histogram(job->test)};
+    result.hist.restore(rec->counts, rec->observed, rec->total);
+    result.observedPer100k = rec->observedPer100k;
     result.fromStore = true;
     result.millis = 0.0;
     return result;
@@ -615,19 +639,7 @@ ResultStore::fetchEval(const harness::Job &job)
 std::optional<harness::JobResult>
 ResultStore::fetchSim(const harness::Job &job)
 {
-    if (!job.isSim())
-        return std::nullopt;
-    auto rec = lookup(digestFor(job));
-    if (!rec || !rec->hasHist)
-        return std::nullopt;
-
-    auto owned = std::make_shared<harness::Job>(job);
-    harness::JobResult result{owned, litmus::Histogram(owned->test)};
-    result.hist.restore(rec->counts, rec->observed, rec->total);
-    result.observedPer100k = rec->observedPer100k;
-    result.fromStore = true;
-    result.millis = 0.0;
-    return result;
+    return fetchSim(harness::share(job));
 }
 
 void

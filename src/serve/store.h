@@ -122,13 +122,17 @@ class ResultStore
      */
     static Digest128 digestFor(const harness::Job &job);
 
-    /** Serve an evaluation result: null on miss; on hit the result is
-     * re-pointed at `job` (label, owned test), `fromStore` set,
-     * `millis` zeroed. */
+    /** Serve an evaluation result: null on miss; on hit the result
+     * shares `job` (label, test), `fromStore` set, `millis` zeroed. */
+    std::optional<eval::EvalResult>
+    fetchEval(const std::shared_ptr<const harness::Job> &job);
+    /** fetchEval over a shared copy of `job`. */
     std::optional<eval::EvalResult> fetchEval(const harness::Job &job);
 
     /** fetchEval restricted to the simulator shape, for
      * harness::Engine (sweep --store). */
+    std::optional<harness::JobResult>
+    fetchSim(const std::shared_ptr<const harness::Job> &job);
     std::optional<harness::JobResult>
     fetchSim(const harness::Job &job);
 

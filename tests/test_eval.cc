@@ -99,7 +99,7 @@ TEST(BackendRegistry, LoadsModelFromCatFile)
     job.backend = path;
     job.test = pl::mp();
     auto verdict = backend->evaluate(job).verdict;
-    ASSERT_TRUE(verdict.has_value());
+    ASSERT_NE(verdict, nullptr);
     model::Verdict builtin =
         model::Checker(cat::models::sc()).check(pl::mp());
     EXPECT_EQ(verdict->allowedKeys, builtin.allowedKeys);
@@ -167,6 +167,75 @@ TEST(EvalJob, SimKeysUnchangedByBackendRedesign)
     EXPECT_EQ(job.key(), named.key());
     EXPECT_EQ(job.derivedSeed(), named.derivedSeed());
     EXPECT_EQ(job.cacheKey(), named.cacheKey());
+}
+
+TEST(EvalJob, GoldenIdentitiesArePinned)
+{
+    // key() seeds the sim RNG stream and cacheKey() the in-process
+    // cache; both feed the store's records. A change to either
+    // derivation must fail here, not silently resample every cell.
+    harness::RunConfig cfg;
+    harness::Job sim =
+        harness::Job::fromConfig(sim::chip("Titan"), pl::mp(), cfg);
+    harness::Job mc = sim;
+    mc.backend = harness::kMcBackend;
+    harness::Job ptx = sim;
+    ptx.backend = "ptx";
+
+    EXPECT_EQ(sim.key(), 0xb9e32f69e1488715ULL);
+    EXPECT_EQ(sim.cacheKey(), 0x3e68682f9b02ad87ULL);
+    EXPECT_EQ(sim.derivedSeed(), 0xabd48b109ebb4e10ULL);
+    EXPECT_EQ(mc.key(), 0x7811f7bc2678ef5aULL);
+    EXPECT_EQ(mc.cacheKey(), 0x629ab6abb8a5712aULL);
+    EXPECT_EQ(mc.derivedSeed(), 0xae2bcf56dd535411ULL);
+    EXPECT_EQ(ptx.key(), 0x840c0ff03d46e63cULL);
+    EXPECT_EQ(ptx.cacheKey(), 0x840c0ff03d46e63cULL);
+    EXPECT_EQ(ptx.derivedSeed(), 0x372d31e197727164ULL);
+}
+
+TEST(EvalJob, EditedCopyNeverReadsAStaleTest)
+{
+    harness::RunConfig cfg;
+    harness::Job job =
+        harness::Job::fromConfig(sim::chip("Titan"), pl::mp(), cfg);
+    const uint64_t mp_key = job.cacheKey();
+    harness::Job copy = job;
+    copy.test = pl::sb();
+    EXPECT_NE(copy.cacheKey(), mp_key);
+    EXPECT_EQ(job.cacheKey(), mp_key);
+
+    // The same through a shared job, whose test text is memoised:
+    // copies and assignments drop the memo.
+    auto shared = harness::share(job);
+    EXPECT_EQ(shared->cacheKey(), mp_key);
+    harness::Job edited = *shared;
+    edited.test = pl::sb();
+    EXPECT_EQ(edited.cacheKey(), copy.cacheKey());
+    harness::Job assigned;
+    assigned = *shared;
+    assigned.test = pl::sb();
+    EXPECT_EQ(assigned.cacheKey(), copy.cacheKey());
+    harness::Job moved = std::move(edited);
+    EXPECT_EQ(moved.cacheKey(), copy.cacheKey());
+}
+
+TEST(EvalJob, SharedJobsReuseAnEqualNeighboursText)
+{
+    harness::RunConfig cfg;
+    harness::Job job =
+        harness::Job::fromConfig(sim::chip("Titan"), pl::mp(), cfg);
+    auto first = harness::share(job);
+    harness::Job other_chip = job;
+    other_chip.chip = sim::chip("GTX5");
+    auto second = harness::share(other_chip, first.get());
+    EXPECT_EQ(second->testText(), first->testText());
+
+    harness::Job other_test = job;
+    other_test.test = pl::sb();
+    auto third = harness::share(other_test, second.get());
+    EXPECT_NE(third->testText(), second->testText());
+    EXPECT_EQ(third->testText()->text, pl::sb().str());
+    EXPECT_EQ(third->cacheKey(), other_test.cacheKey());
 }
 
 TEST(EvalJob, ModelKeysIgnoreSimAxesButNotBackendOrTest)
@@ -364,6 +433,104 @@ TEST(Conformance, SinkSummaryAndJsonShape)
          {"\"test\":\"mp\"", "\"chip\":\"Titan\"", "\"model\":\"ptx\"",
           "\"model\":\"sc\"", "\"kind\":\"", "\"violations\":"})
         EXPECT_NE(doc.find(field), std::string::npos) << field;
+}
+
+/** Every field of a conformance cell on one line. */
+std::string
+renderCell(const ConformanceCell &cell)
+{
+    std::string s = cell.test + "|" + cell.chip + "|" +
+                    std::to_string(cell.column) + "|" + cell.model +
+                    "|" + toString(cell.kind) + "|" +
+                    std::to_string(cell.runs) + "|" +
+                    (cell.hasExact ? "x" : "-") +
+                    (cell.exactComplete ? "c" : "-");
+    auto keys = [&s](const char *tag,
+                     const std::vector<std::string> &list) {
+        s += std::string("|") + tag + ":";
+        for (const auto &key : list)
+            s += key;
+    };
+    keys("v", cell.violations);
+    keys("u", cell.unobserved);
+    keys("n", cell.unreachable);
+    keys("i", cell.inconsistent);
+    s += "|r:";
+    for (const auto &[key, weight] : cell.rare)
+        s += key + "=" + std::to_string(weight);
+    return s;
+}
+
+TEST(Conformance, JoinOrderAndMatchingArePinned)
+{
+    // Sim+exact, sim-only and exact-only cells; a redelivered cell, a
+    // relabelled duplicate and one label naming two tests; a second
+    // exploration of an already-joined cell (the first one joins) and
+    // one at a column no sim cell has; an out-of-scope test whose
+    // refusals must not join. The expected rows are the text-keyed
+    // join's output, so the digest-keyed join must reproduce them in
+    // the same order.
+    auto job = [](const litmus::Test &test, const char *chip,
+                  const char *backend, const char *label,
+                  uint64_t iterations = 200, int column = 16) {
+        harness::Job j;
+        j.backend = backend;
+        j.chip = sim::chip(chip);
+        j.test = test;
+        j.inc = sim::Incantations::fromColumn(column);
+        j.iterations = iterations;
+        j.seed = 0x6c69;
+        j.label = label;
+        return j;
+    };
+    const litmus::Test mp = corpusTest("mp.litmus");
+    const litmus::Test sb = corpusTest("sb.litmus");
+    const litmus::Test lb = corpusTest("lb.litmus");
+    const litmus::Test vol = corpusTest("mp-volatile.litmus");
+    std::vector<harness::Job> jobs = {
+        job(mp, "Titan", "sim", "mp"),
+        job(mp, "Titan", "mc", "mp", 1u << 20),
+        job(mp, "Titan", "ptx", "mp"),
+        job(mp, "Titan", "baseline", "mp"),
+        job(sb, "GTX5", "sim", "sb"),
+        job(sb, "GTX5", "ptx", "sb"),
+        job(lb, "Titan", "mc", "lb", 1u << 20),
+        job(lb, "Titan", "sc", "lb"),
+        job(lb, "Titan", "ptx", "lb"),
+        job(mp, "Titan", "sim", "mp"),
+        job(mp, "Titan", "sim", "mp-again"),
+        job(sb, "Titan", "sim", "mp"),
+        job(mp, "Titan", "mc", "mp", 5),
+        job(mp, "GTX5", "mc", "mp", 1u << 20, 3),
+        job(vol, "Titan", "sim", "vol"),
+        job(vol, "Titan", "ptx", "vol"),
+    };
+    ConformanceSink sink;
+    Engine engine(EngineOptions{2, true});
+    engine.run(jobs, {&sink});
+    engine.run(jobs, {&sink}); // all cache hits: redelivered cells
+
+    const std::vector<std::string> expected = {
+        "mp|Titan|16|baseline|sound|200|xc|v:|u:|n:|i:|r:",
+        "mp|Titan|16|ptx|sound|200|xc|v:|u:|n:|i:|r:",
+        "sb|GTX5|16|ptx|imprecise|200|--|v:|u:0:r2=0; 1:r2=0;|n:|i:|r:",
+        "mp-again|Titan|16|baseline|sound|200|xc|v:|u:|n:|i:|r:",
+        "mp-again|Titan|16|ptx|sound|200|xc|v:|u:|n:|i:|r:",
+        "mp|Titan|16|ptx|sound|200|--|v:|u:|n:|i:|r:",
+        "lb|Titan|16|ptx|sound|0|xc|v:|u:|n:|i:|r:",
+        "lb|Titan|16|sc|unsound|0|xc|v:0:r1=1; 1:r1=1;|u:|n:|i:|r:",
+        "mp|GTX5|3|baseline|unreachable|0|xc|v:|u:|n:1:r1=1; 1:r2=0;"
+        "|i:|r:",
+        "mp|GTX5|3|ptx|unreachable|0|xc|v:|u:|n:1:r1=1; 1:r2=0;|i:|r:",
+    };
+    std::vector<std::string> got;
+    for (const auto &cell : sink.cells())
+        got.push_back(renderCell(cell));
+    EXPECT_EQ(got, expected);
+    EXPECT_EQ(sink.soundCells(), 6u);
+    EXPECT_EQ(sink.unsoundCells(), 1u);
+    EXPECT_EQ(sink.impreciseCells(), 1u);
+    EXPECT_EQ(sink.unreachableCells(), 2u);
 }
 
 TEST(EvalEngine, JsonSinkTagsBothSides)

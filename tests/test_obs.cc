@@ -306,6 +306,13 @@ TEST_F(ObsTest, EngineTicksJobAndCacheCounters)
     EXPECT_EQ(reg.timer("engine_job_latency_us").count(), 2u);
     EXPECT_EQ(reg.timer("engine_queue_wait_us").count(), 2u);
     EXPECT_GT(reg.counter("engine_worker_wall_us_total").value(), 0u);
+    // The serial phases around the pool: one record each per batch.
+    EXPECT_EQ(reg.timer("engine_partition_us").count(), 1u);
+    EXPECT_EQ(reg.timer("engine_deliver_us").count(), 1u);
+
+    engine.run(jobs);
+    EXPECT_EQ(reg.timer("engine_partition_us").count(), 2u);
+    EXPECT_EQ(reg.timer("engine_deliver_us").count(), 2u);
 }
 
 TEST_F(ObsTest, ExplorerTicksReplaysAndHeartbeat)
