@@ -1,8 +1,6 @@
 #include "gen/generator.h"
 
 #include <algorithm>
-#include <functional>
-#include <set>
 
 #include "analysis/race.h"
 #include "common/log.h"
@@ -138,6 +136,23 @@ struct EventRec
     int regNum = -1;    ///< destination register number for reads
 };
 
+/**
+ * What the well-formedness pass learns about a cycle: everything
+ * emission needs besides the edges. The vectors are reused across
+ * cycles, so checking a candidate allocates nothing once they have
+ * grown to the longest cycle.
+ */
+struct Layout
+{
+    std::vector<EventRec> events;
+    int nthreads = 0;
+    int nlocs = 0;
+    std::vector<int> writeCount;   ///< per location
+    std::vector<size_t> lastWrite; ///< per location: the co-last write
+    std::vector<size_t> parent;    ///< union-find over events
+    std::vector<int> classLoc;     ///< per class root: its location
+};
+
 std::string
 locName(int idx)
 {
@@ -148,51 +163,67 @@ locName(int idx)
     return "v" + std::to_string(idx);
 }
 
-} // anonymous namespace
-
-std::optional<litmus::Test>
-synthesise(const std::vector<Edge> &cycle, const std::string &name,
-           const GeneratorOptions &opts)
+/**
+ * Decide whether `cycle` yields a test, without building any text:
+ * direction chaining, a closing communication edge, the thread cap,
+ * the closing edge's scope, location classes and their cap, read
+ * values, coherence order and a non-empty condition. On success
+ * `lay` holds the threads, locations and values of every event.
+ */
+bool
+wellFormed(const std::vector<Edge> &cycle, const GeneratorOptions &opts,
+           Layout &lay)
 {
     size_t n = cycle.size();
     if (n < 2)
-        return std::nullopt;
+        return false;
 
     // Direction chaining: the target direction of edge i must be the
     // source direction of edge i+1 (cyclically).
     for (size_t i = 0; i < n; ++i) {
         if (cycle[i].to != cycle[(i + 1) % n].from)
-            return std::nullopt;
+            return false;
     }
 
     // The closing edge must be a communication edge (rotations where
     // it is not denote the same test).
     if (!cycle[n - 1].isComm())
-        return std::nullopt;
+        return false;
 
-    std::vector<EventRec> events(n);
+    auto &events = lay.events;
+    events.assign(n, EventRec{});
     for (size_t i = 0; i < n; ++i)
         events[i].dir = cycle[i].from;
 
-    // Threads: a communication edge moves to a fresh thread.
+    // Threads: a communication edge moves to a fresh thread. The
+    // closing communication edge returns to thread 0 — distinct by
+    // construction.
     int nthreads = 1;
+    bool any_inter = false;
     for (size_t i = 0; i + 1 < n; ++i) {
-        if (cycle[i].isComm())
+        if (cycle[i].isComm()) {
             ++nthreads;
+            any_inter |= cycle[i].scope == ScopeAnn::InterCta;
+        }
         events[i + 1].thread = nthreads - 1;
     }
     if (nthreads < 2 || nthreads > opts.maxThreads)
-        return std::nullopt;
-    // The closing communication edge returns to thread 0 — distinct
-    // by construction.
+        return false;
+    // The scope tree opens a new CTA at every inter-CTA edge, so the
+    // last thread shares thread 0's CTA exactly when no edge before
+    // the closing one is inter-CTA; the closing edge must agree.
+    bool closing_intra = cycle[n - 1].scope == ScopeAnn::IntraCta;
+    if (closing_intra == any_inter)
+        return false;
 
     // Locations: union-find over same-location edges (including the
     // closing one), then one location per class; location-changing
     // edges must connect distinct classes.
-    std::vector<size_t> parent(n);
+    auto &parent = lay.parent;
+    parent.resize(n);
     for (size_t i = 0; i < n; ++i)
         parent[i] = i;
-    std::function<size_t(size_t)> find = [&](size_t x) {
+    auto find = [&parent](size_t x) {
         while (parent[x] != x)
             x = parent[x] = parent[parent[x]];
         return x;
@@ -203,27 +234,29 @@ synthesise(const std::vector<Edge> &cycle, const std::string &name,
     }
     for (size_t i = 0; i < n; ++i) {
         if (!cycle[i].sameLoc && find(i) == find((i + 1) % n))
-            return std::nullopt; // Pod/Dp/Fence within one location
+            return false; // Pod/Dp/Fence within one location
     }
     int nlocs = 0;
-    std::vector<int> class_loc(n, -1);
+    lay.classLoc.assign(n, -1);
     for (size_t i = 0; i < n; ++i) {
         size_t root = find(i);
-        if (class_loc[root] < 0)
-            class_loc[root] = nlocs++;
-        events[i].loc = class_loc[root];
+        if (lay.classLoc[root] < 0)
+            lay.classLoc[root] = nlocs++;
+        events[i].loc = lay.classLoc[root];
     }
     if (nlocs > opts.maxLocations)
-        return std::nullopt;
+        return false;
 
     // Coherence order per location: writes in cycle order.
-    std::vector<std::vector<size_t>> writes_of(
-        static_cast<size_t>(nlocs));
+    lay.writeCount.assign(static_cast<size_t>(nlocs), 0);
+    lay.lastWrite.assign(static_cast<size_t>(nlocs), 0);
+    bool multi_write = false;
     for (size_t i = 0; i < n; ++i) {
         if (events[i].dir == Dir::W) {
-            auto &ws = writes_of[static_cast<size_t>(events[i].loc)];
-            ws.push_back(i);
-            events[i].value = static_cast<int64_t>(ws.size());
+            auto l = static_cast<size_t>(events[i].loc);
+            events[i].value = ++lay.writeCount[l];
+            lay.lastWrite[l] = i;
+            multi_write |= lay.writeCount[l] >= 2;
         }
     }
 
@@ -236,44 +269,62 @@ synthesise(const std::vector<Edge> &cycle, const std::string &name,
             // Read sees the write's value.
             int64_t v = events[src].value;
             if (events[dst].value >= 0 && events[dst].value != v)
-                return std::nullopt; // conflicting constraints
+                return false; // conflicting constraints
             events[dst].value = v;
         } else if (e.type == Edge::Type::Fre) {
             // Read sees the coherence predecessor of the write.
             int64_t v = events[dst].value - 1;
             if (events[src].value >= 0 && events[src].value != v)
-                return std::nullopt;
+                return false;
             events[src].value = v;
         }
     }
     // Reads with no constraint never happen in valid cycles (every
     // read endpoint touches a communication edge); be safe anyway.
-    for (auto &ev : events) {
-        if (ev.dir == Dir::R && ev.value < 0)
-            return std::nullopt;
+    bool any_read = false;
+    for (const auto &ev : events) {
+        if (ev.dir == Dir::R) {
+            if (ev.value < 0)
+                return false;
+            any_read = true;
+        }
     }
 
     // Coherence consistency: the appearance order (our co order) must
     // agree with every non-closing coherence edge. A *closing* Wse
     // asserts that the co-first write is last in coherence — the
     // relaxed behaviour itself — and is witnessed by the final memory
-    // value instead (below).
-    bool closing_wse = cycle[n - 1].type == Edge::Type::Wse;
+    // value instead (see emit).
     for (size_t i = 0; i + 1 < n; ++i) {
         if (cycle[i].type == Edge::Type::Wse &&
             events[i].value >= events[i + 1].value)
-            return std::nullopt;
+            return false;
     }
 
-    // ---- Emit the litmus test. --------------------------------------
-    litmus::TestBuilder builder(name);
-    for (int l = 0; l < nlocs; ++l)
+    // The condition asks for every read value and for the final value
+    // of every multi-write location; it must ask for something.
+    if (!any_read && !multi_write)
+        return false;
+
+    lay.nthreads = nthreads;
+    lay.nlocs = nlocs;
+    return true;
+}
+
+/** Build the litmus test of a cycle `wellFormed` accepted. */
+litmus::Test
+emit(const std::vector<Edge> &cycle, Layout &lay, std::string name)
+{
+    size_t n = cycle.size();
+    auto &events = lay.events;
+    litmus::TestBuilder builder(std::move(name));
+    for (int l = 0; l < lay.nlocs; ++l)
         builder.global(locName(l), 0);
 
     std::string cond;
     std::vector<std::pair<int, std::string>> reg_locs; // addr regs
 
-    for (int t = 0; t < nthreads; ++t) {
+    for (int t = 0; t < lay.nthreads; ++t) {
         std::string body;
         int next_reg = 0;
         int next_pred = 0;
@@ -361,10 +412,11 @@ synthesise(const std::vector<Edge> &cycle, const std::string &name,
     // Final coherence constraints for multi-write locations. A
     // closing Wse edge asserts the first event is co-last, so its
     // location's final value witnesses that write instead.
-    for (int l = 0; l < nlocs; ++l) {
-        const auto &ws = writes_of[static_cast<size_t>(l)];
-        if (ws.size() >= 2) {
-            size_t witness = ws.back();
+    bool closing_wse = cycle[n - 1].type == Edge::Type::Wse;
+    for (int l = 0; l < lay.nlocs; ++l) {
+        auto li = static_cast<size_t>(l);
+        if (lay.writeCount[li] >= 2) {
+            size_t witness = lay.lastWrite[li];
             if (closing_wse && events[0].loc == l)
                 witness = 0;
             if (!cond.empty())
@@ -373,15 +425,13 @@ synthesise(const std::vector<Edge> &cycle, const std::string &name,
                     std::to_string(events[witness].value);
         }
     }
-    if (cond.empty())
-        return std::nullopt;
     builder.exists(cond);
 
     // Scope tree from the communication-edge annotations: walk the
     // threads, opening a new CTA when the edge into the next thread
-    // is inter-CTA.
+    // is inter-CTA (the closing edge agrees, per wellFormed).
     std::vector<litmus::ThreadPlacement> placement(
-        static_cast<size_t>(nthreads));
+        static_cast<size_t>(lay.nthreads));
     int cta = 0;
     int warp = 0;
     int thread_idx = 0;
@@ -398,83 +448,152 @@ synthesise(const std::vector<Edge> &cycle, const std::string &name,
         }
         placement[static_cast<size_t>(thread_idx)] = {cta, warp};
     }
-    // The closing edge relates the last thread and thread 0; check
-    // consistency with its annotation.
-    bool closing_intra = cycle[n - 1].scope == ScopeAnn::IntraCta;
-    bool actually_intra =
-        placement[static_cast<size_t>(nthreads - 1)].cta ==
-        placement[0].cta;
-    if (closing_intra != actually_intra)
-        return std::nullopt;
     builder.scope(litmus::ScopeTree(std::move(placement)));
 
     return builder.build();
+}
+
+/**
+ * Depth-first search over chained edge sequences, children in pool
+ * order, so sequences of one length are visited in lexicographic
+ * order of their pool indices. A closed sequence and its rotations
+ * denote one test; the search keeps the first rotation it closes,
+ * which is the lexicographically smallest one that ends on a
+ * communication edge. Everything before emission works on indices.
+ */
+class CycleSearch
+{
+  public:
+    CycleSearch(const std::vector<Edge> &pool,
+                const GeneratorOptions &opts,
+                std::vector<GeneratedTest> &out)
+        : pool_(pool), opts_(opts), out_(out), next_(pool.size())
+    {
+        names_.reserve(pool.size());
+        for (size_t a = 0; a < pool.size(); ++a) {
+            names_.push_back(pool[a].name());
+            for (size_t b = 0; b < pool.size(); ++b) {
+                if (pool[a].to == pool[b].from)
+                    next_[a].push_back(b);
+            }
+        }
+    }
+
+    void
+    run()
+    {
+        for (size_t e = 0; e < pool_.size() && !full(); ++e) {
+            push(e);
+            extend(opts_.maxEdges - 1);
+            pop();
+        }
+    }
+
+  private:
+    bool full() const { return out_.size() >= opts_.maxTests; }
+
+    void
+    push(size_t e)
+    {
+        seq_.push_back(e);
+        cycle_.push_back(pool_[e]);
+    }
+
+    void
+    pop()
+    {
+        seq_.pop_back();
+        cycle_.pop_back();
+    }
+
+    /** Visit the current prefix, then every chained extension of it
+     * up to `remaining` more edges. */
+    void
+    extend(int remaining)
+    {
+        if (full())
+            return;
+        if (static_cast<int>(seq_.size()) >= opts_.minEdges)
+            tryClose();
+        if (remaining <= 0)
+            return;
+        for (size_t e : next_[seq_.back()]) {
+            push(e);
+            extend(remaining - 1);
+            pop();
+            if (full())
+                return;
+        }
+    }
+
+    void
+    tryClose()
+    {
+        const Edge &last = cycle_.back();
+        if (!last.isComm() || last.to != cycle_.front().from ||
+            !fresh() || !wellFormed(cycle_, opts_, layout_))
+            return;
+        std::string display;
+        for (size_t k = 0; k < seq_.size(); ++k) {
+            if (k)
+                display += ' ';
+            display += names_[seq_[k]];
+        }
+        auto test = emit(cycle_, layout_, display);
+        out_.push_back({std::move(display), std::move(test)});
+    }
+
+    /** Whether no rotation that also closes (ends on a communication
+     * edge) is lexicographically smaller, i.e. whether the search
+     * reaches this cycle first. O(n^2) index compares. */
+    bool
+    fresh() const
+    {
+        size_t n = seq_.size();
+        for (size_t r = 1; r < n; ++r) {
+            if (!cycle_[r - 1].isComm())
+                continue; // rotation r ends on edge r-1
+            for (size_t k = 0; k < n; ++k) {
+                size_t j = r + k < n ? r + k : r + k - n;
+                if (seq_[j] != seq_[k]) {
+                    if (seq_[j] < seq_[k])
+                        return false;
+                    break;
+                }
+            }
+        }
+        return true;
+    }
+
+    const std::vector<Edge> &pool_;
+    const GeneratorOptions &opts_;
+    std::vector<GeneratedTest> &out_;
+    std::vector<std::string> names_;        ///< per pool entry
+    std::vector<std::vector<size_t>> next_; ///< chained successors
+    std::vector<size_t> seq_;               ///< pool indices
+    std::vector<Edge> cycle_;               ///< the same edges
+    Layout layout_;
+};
+
+} // anonymous namespace
+
+std::optional<litmus::Test>
+synthesise(const std::vector<Edge> &cycle, const std::string &name,
+           const GeneratorOptions &opts)
+{
+    Layout lay;
+    if (!wellFormed(cycle, opts, lay))
+        return std::nullopt;
+    return emit(cycle, lay, name);
 }
 
 std::vector<GeneratedTest>
 generate(const std::vector<Edge> &pool, const GeneratorOptions &opts)
 {
     std::vector<GeneratedTest> out;
-    std::set<std::string> seen;
-
-    std::vector<Edge> cycle;
-    std::function<void(int)> dfs = [&](int remaining) {
-        if (out.size() >= opts.maxTests)
-            return;
-        if (static_cast<int>(cycle.size()) >= opts.minEdges) {
-            // Try to close the cycle.
-            if (cycle.back().to == cycle.front().from &&
-                cycle.back().isComm()) {
-                // Canonical name: the smallest rotation (rotations
-                // denote the same test).
-                std::vector<std::string> names;
-                for (const auto &e : cycle)
-                    names.push_back(e.name());
-                std::string canonical;
-                for (size_t r = 0; r < names.size(); ++r) {
-                    std::string rotated;
-                    for (size_t k = 0; k < names.size(); ++k) {
-                        if (k)
-                            rotated += " ";
-                        rotated += names[(r + k) % names.size()];
-                    }
-                    if (canonical.empty() || rotated < canonical)
-                        canonical = rotated;
-                }
-                if (!seen.count(canonical)) {
-                    seen.insert(canonical);
-                    std::string display;
-                    for (size_t k = 0; k < names.size(); ++k) {
-                        if (k)
-                            display += " ";
-                        display += names[k];
-                    }
-                    auto test = synthesise(cycle, display, opts);
-                    if (test)
-                        out.push_back({display, std::move(*test)});
-                }
-            }
-        }
-        if (remaining == 0)
-            return;
-        for (const auto &e : pool) {
-            if (!cycle.empty() && cycle.back().to != e.from)
-                continue;
-            cycle.push_back(e);
-            dfs(remaining - 1);
-            cycle.pop_back();
-            if (out.size() >= opts.maxTests)
-                return;
-        }
-    };
-
-    for (const auto &e : pool) {
-        cycle.push_back(e);
-        dfs(opts.maxEdges - 1);
-        cycle.pop_back();
-        if (out.size() >= opts.maxTests)
-            break;
-    }
+    if (opts.maxEdges < std::max(opts.minEdges, 1))
+        return out;
+    CycleSearch(pool, opts, out).run();
 
     if (opts.steer) {
         for (auto &g : out)

@@ -108,7 +108,21 @@ struct GeneratedTest
 
 /**
  * Enumerate cycles over the pool and synthesise a litmus test for
- * each valid one. Tests are deduplicated by cycle name.
+ * each valid one, one test per cycle up to rotation.
+ *
+ * Precondition: the pool's entries have pairwise distinct
+ * Edge::name()s (every defaultPool() variant does). Rotations are
+ * then told apart by pool index alone, and one test per rotation
+ * class is one test per cycle name.
+ *
+ * Output order: cycles of minEdges..maxEdges edges, depth first with
+ * children in pool order, so cycles of one length come in
+ * lexicographic order of their pool indices. Each class is
+ * represented by the first rotation the search closes on a
+ * communication edge, and the output stops after maxTests tests.
+ * With opts.steer the same tests are then stably sorted by
+ * descending predicted racy pairs. The result is empty when maxEdges
+ * is below max(minEdges, 1).
  */
 std::vector<GeneratedTest> generate(const std::vector<Edge> &pool,
                                     const GeneratorOptions &opts = {});
@@ -116,7 +130,10 @@ std::vector<GeneratedTest> generate(const std::vector<Edge> &pool,
 /**
  * Synthesise the litmus test for one explicit cycle. Returns nullopt
  * when the cycle is not well formed (direction or location mismatch,
- * no communication edge, thread/location caps exceeded).
+ * no closing communication edge, thread/location caps exceeded, a
+ * closing scope that contradicts the scope tree, unsatisfiable read
+ * values or coherence order, nothing to ask for). Every check runs
+ * before any text of the test is built.
  */
 std::optional<litmus::Test>
 synthesise(const std::vector<Edge> &cycle, const std::string &name,

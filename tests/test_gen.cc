@@ -2,13 +2,20 @@
  * @file
  * Tests for the diy-style generator: edge naming, cycle synthesis of
  * the classic idioms, well-formedness of everything generated, and
- * model verdicts on generated fence variants.
+ * model verdicts on generated fence variants. Golden digests pin
+ * every byte the generator emits, and a reference enumeration (the
+ * original string-rotation dedup) checks the index-based one.
  */
 
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <limits>
+#include <set>
+
 #include "axiom/enumerate.h"
 #include "cat/models.h"
+#include "common/hash.h"
 #include "gen/generator.h"
 #include "litmus/parser.h"
 #include "model/checker.h"
@@ -313,6 +320,208 @@ TEST(Generate, ScopedPoolAddsIntraCtaVariants)
     auto scoped = generate(defaultPool(true), opts);
     auto unscoped = generate(defaultPool(false), opts);
     EXPECT_GT(scoped.size(), unscoped.size());
+}
+
+/** Hash128 over each test's cycle name and printed text, in output
+ * order; every item is length-prefixed so boundaries cannot shift. */
+Digest128
+poolDigest(const std::vector<GeneratedTest> &tests)
+{
+    Hash128 h;
+    for (const auto &g : tests) {
+        std::string text = g.cycleName + g.test.str();
+        h.put64(text.size());
+        h.putBytes(reinterpret_cast<const uint8_t *>(text.data()),
+                   text.size());
+    }
+    return h.digest();
+}
+
+constexpr size_t kAll = std::numeric_limits<size_t>::max();
+
+TEST(Generate, GoldenPoolDigestsArePinned)
+{
+    // Captured from the string-dedup generator; any change to the
+    // enumeration order, the dedup or the emitted text moves them.
+    struct Pin
+    {
+        const char *what;
+        bool scopes;
+        bool deps;
+        int maxEdges;
+        size_t maxTests;
+        bool steer;
+        size_t count;
+        uint64_t lo;
+        uint64_t hi;
+    };
+    const Pin pins[] = {
+        // The validate_gen benchmark's pool.
+        {"default e6 n20000", true, true, 6, 20000, false, 20000,
+         0xe323d4dfc78f0475ULL, 0x35878135b73d263cULL},
+        {"scoped+deps e4", true, true, 4, kAll, false, 440,
+         0xdaad474f34ef0d64ULL, 0x90c18b8e703e3eefULL},
+        {"scoped e4", true, false, 4, kAll, false, 316,
+         0xb88977495f10b56dULL, 0x764329bea901424fULL},
+        {"deps e4", false, true, 4, kAll, false, 83,
+         0x26749e3ee3d4af12ULL, 0xa03c7f235b0d7ea4ULL},
+        {"plain e4", false, false, 4, kAll, false, 49,
+         0xba6415fd17841c3eULL, 0xdd6cea4311fd5d06ULL},
+        {"scoped+deps e5", true, true, 5, kAll, false, 5714,
+         0x5f0c910de5d83f8bULL, 0x6a8ff7c67c6a2cc7ULL},
+        {"scoped e5", true, false, 5, kAll, false, 3920,
+         0xc807717434ab33daULL, 0x4dc6fda699166a57ULL},
+        {"deps e5", false, true, 5, kAll, false, 638,
+         0x5374fa7af9cfd7ffULL, 0x7fd746a81e2bfd30ULL},
+        {"plain e5", false, false, 5, kAll, false, 338,
+         0xa5d60e124d03bcabULL, 0xa911ec179209d8e5ULL},
+        {"steered e4", true, true, 4, kAll, true, 440,
+         0x561424ddb8c4de44ULL, 0x6c7e81f50c9966c3ULL},
+    };
+    for (const auto &p : pins) {
+        GeneratorOptions opts;
+        opts.maxEdges = p.maxEdges;
+        opts.maxTests = p.maxTests;
+        opts.steer = p.steer;
+        auto tests = generate(defaultPool(p.scopes, p.deps), opts);
+        Digest128 d = poolDigest(tests);
+        EXPECT_EQ(tests.size(), p.count) << p.what;
+        EXPECT_EQ(d.lo, p.lo) << p.what;
+        EXPECT_EQ(d.hi, p.hi) << p.what;
+    }
+}
+
+/**
+ * The original dedup, kept as the oracle for generate(): name every
+ * closing by the smallest rotation of its edge-name strings and admit
+ * each name once through a std::set. Returns the cycle names of the
+ * tests it emits, in order.
+ */
+std::vector<std::string>
+referenceGenerate(const std::vector<Edge> &pool,
+                  const GeneratorOptions &opts)
+{
+    std::vector<std::string> out;
+    std::set<std::string> seen;
+    std::vector<Edge> cycle;
+    std::function<void(int)> dfs = [&](int remaining) {
+        if (out.size() >= opts.maxTests)
+            return;
+        if (static_cast<int>(cycle.size()) >= opts.minEdges &&
+            cycle.back().to == cycle.front().from &&
+            cycle.back().isComm()) {
+            std::vector<std::string> names;
+            for (const auto &e : cycle)
+                names.push_back(e.name());
+            std::string canonical;
+            for (size_t r = 0; r < names.size(); ++r) {
+                std::string rotated;
+                for (size_t k = 0; k < names.size(); ++k) {
+                    if (k)
+                        rotated += " ";
+                    rotated += names[(r + k) % names.size()];
+                }
+                if (canonical.empty() || rotated < canonical)
+                    canonical = rotated;
+            }
+            if (seen.insert(canonical).second) {
+                std::string display;
+                for (size_t k = 0; k < names.size(); ++k)
+                    display += (k ? " " : "") + names[k];
+                if (synthesise(cycle, display, opts))
+                    out.push_back(display);
+            }
+        }
+        if (remaining == 0)
+            return;
+        for (const auto &e : pool) {
+            if (!cycle.empty() && cycle.back().to != e.from)
+                continue;
+            cycle.push_back(e);
+            dfs(remaining - 1);
+            cycle.pop_back();
+            if (out.size() >= opts.maxTests)
+                return;
+        }
+    };
+    for (const auto &e : pool) {
+        cycle.push_back(e);
+        dfs(opts.maxEdges - 1);
+        cycle.pop_back();
+        if (out.size() >= opts.maxTests)
+            break;
+    }
+    return out;
+}
+
+TEST(Generate, MatchesTheStringDedupReference)
+{
+    struct Config
+    {
+        bool scopes;
+        bool deps;
+        int minEdges;
+        int maxEdges;
+        size_t maxTests;
+    };
+    const Config configs[] = {
+        {true, true, 2, 4, kAll},  {true, true, 3, 3, kAll},
+        {true, true, 3, 4, kAll},  {true, true, 2, 5, kAll},
+        {true, true, 3, 5, 37},    {true, true, 3, 6, 5000},
+        {false, true, 3, 5, kAll}, {true, false, 3, 5, kAll},
+        {false, false, 2, 5, kAll},
+    };
+    for (const auto &c : configs) {
+        GeneratorOptions opts;
+        opts.minEdges = c.minEdges;
+        opts.maxEdges = c.maxEdges;
+        opts.maxTests = c.maxTests;
+        auto pool = defaultPool(c.scopes, c.deps);
+        std::vector<std::string> names;
+        for (const auto &g : generate(pool, opts))
+            names.push_back(g.cycleName);
+        EXPECT_EQ(names, referenceGenerate(pool, opts))
+            << "scopes=" << c.scopes << " deps=" << c.deps
+            << " edges=" << c.minEdges << ".." << c.maxEdges
+            << " cap=" << c.maxTests;
+    }
+}
+
+TEST(Generate, DefaultPoolNamesAreDistinct)
+{
+    // generate()'s precondition: with distinct names, deduplicating
+    // on pool indices is deduplicating on cycle names.
+    for (bool scopes : {true, false}) {
+        for (bool deps : {true, false}) {
+            std::set<std::string> names;
+            auto pool = defaultPool(scopes, deps);
+            for (const auto &e : pool)
+                names.insert(e.name());
+            EXPECT_EQ(names.size(), pool.size())
+                << "scopes=" << scopes << " deps=" << deps;
+        }
+    }
+}
+
+TEST(Generate, NonPositiveBoundsReturnNothing)
+{
+    // The search depth is bounded by maxEdges alone; a non-positive
+    // bound must end the search at once, not recurse forever.
+    for (int maxEdges : {0, -3}) {
+        GeneratorOptions opts;
+        opts.maxEdges = maxEdges;
+        opts.maxTests = 5;
+        EXPECT_TRUE(generate(defaultPool(), opts).empty()) << maxEdges;
+        opts.minEdges = 0;
+        EXPECT_TRUE(generate(defaultPool(), opts).empty()) << maxEdges;
+    }
+    GeneratorOptions above;
+    above.minEdges = 5;
+    above.maxEdges = 4;
+    EXPECT_TRUE(generate(defaultPool(), above).empty());
+    GeneratorOptions none;
+    none.maxTests = 0;
+    EXPECT_TRUE(generate(defaultPool(), none).empty());
 }
 
 } // namespace

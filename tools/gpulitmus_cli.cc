@@ -60,7 +60,9 @@
  *                                        write the generated corpus
  *                                        to .litmus files (cycle
  *                                        name, scope tree and final
- *                                        condition included)
+ *                                        condition included); edge
+ *                                        bounds >= 1 with min <= max,
+ *                                        --max-tests >= 0
  *   gpulitmus chips                      list the chip registry
  *   gpulitmus models                     list the built-in models
  *   gpulitmus serve --socket PATH|--port N [--store DIR] [--jobs N]
@@ -104,6 +106,7 @@
 #include <filesystem>
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <set>
 #include <sstream>
 #include <string>
@@ -1082,13 +1085,63 @@ cmdSass(const Args &args)
     return check.ok ? 0 : 2;
 }
 
+/**
+ * Read the generator's bounds: --max-edges, --max-tests and, where the
+ * command takes it, --min-edges. A bound that is not an integer, an
+ * edge bound below 1, a negative test cap or a minimum above the
+ * maximum is a usage error (false, message printed).
+ */
+bool
+readGeneratorBounds(const Args &args, bool takes_min_edges,
+                    int64_t max_tests_default,
+                    gen::GeneratorOptions &opts)
+{
+    auto read = [&](const char *flag, int64_t fallback, int64_t lo,
+                    int64_t hi, int64_t &out) {
+        out = fallback;
+        if (!args.has(flag))
+            return true;
+        auto v = parseInt(args.get(flag, ""));
+        if (!v || *v < lo) {
+            std::cerr << "error: --" << flag << " needs an integer >= "
+                      << lo << "\n";
+            return false;
+        }
+        if (*v > hi) {
+            std::cerr << "error: --" << flag << " is at most " << hi
+                      << "\n";
+            return false;
+        }
+        out = *v;
+        return true;
+    };
+    const int64_t int_max = std::numeric_limits<int>::max();
+    int64_t min_edges = opts.minEdges;
+    int64_t max_edges = 0;
+    int64_t max_tests = 0;
+    if ((takes_min_edges &&
+         !read("min-edges", min_edges, 1, int_max, min_edges)) ||
+        !read("max-edges", 4, 1, int_max, max_edges) ||
+        !read("max-tests", max_tests_default, 0,
+              std::numeric_limits<int64_t>::max(), max_tests))
+        return false;
+    if (takes_min_edges && min_edges > max_edges) {
+        std::cerr << "error: --min-edges " << min_edges
+                  << " exceeds --max-edges " << max_edges << "\n";
+        return false;
+    }
+    opts.minEdges = static_cast<int>(min_edges);
+    opts.maxEdges = static_cast<int>(max_edges);
+    opts.maxTests = static_cast<size_t>(max_tests);
+    return true;
+}
+
 int
 cmdGenerate(const Args &args)
 {
     gen::GeneratorOptions opts;
-    opts.maxEdges = static_cast<int>(args.getInt("max-edges", 4));
-    opts.maxTests =
-        static_cast<size_t>(args.getInt("max-tests", 20));
+    if (!readGeneratorBounds(args, false, 20, opts))
+        return 1;
     opts.steer = args.has("steer");
     auto tests = gen::generate(gen::defaultPool(), opts);
     for (const auto &g : tests) {
@@ -1131,10 +1184,8 @@ cmdGen(const Args &args)
 {
     std::string out_dir = args.get("out", "generated-tests");
     gen::GeneratorOptions opts;
-    opts.minEdges = static_cast<int>(args.getInt("min-edges", 3));
-    opts.maxEdges = static_cast<int>(args.getInt("max-edges", 4));
-    opts.maxTests =
-        static_cast<size_t>(args.getInt("max-tests", 50));
+    if (!readGeneratorBounds(args, true, 50, opts))
+        return 1;
     bool scopes = !args.has("no-scopes");
     bool deps = !args.has("no-deps");
     opts.steer = args.has("steer");
