@@ -40,6 +40,14 @@ Relation::fromPairs(int n, const std::vector<std::pair<int, int>> &ps)
     return r;
 }
 
+Relation
+Relation::fromRows(int n, const uint64_t *rows)
+{
+    Relation r(n);
+    r.rows_.assign(rows, rows + n);
+    return r;
+}
+
 bool
 Relation::get(int i, int j) const
 {

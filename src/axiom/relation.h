@@ -34,10 +34,15 @@ class Relation
     static Relation universal(int n);
     static Relation fromPairs(int n,
                               const std::vector<std::pair<int, int>> &ps);
+    /** The relation whose row i (successors of event i, as a bit
+     * mask) is rows[i], for i < n. */
+    static Relation fromRows(int n, const uint64_t *rows);
 
     int size() const { return n_; }
 
     bool get(int i, int j) const;
+    /** Successors of event i as a bit mask. */
+    uint64_t row(int i) const { return rows_[static_cast<size_t>(i)]; }
     void set(int i, int j, bool v = true);
 
     Relation operator|(const Relation &other) const;

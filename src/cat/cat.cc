@@ -1,10 +1,10 @@
 #include "cat/cat.h"
 
-#include <cctype>
+#include <algorithm>
 #include <map>
 
+#include "cat/ast.h"
 #include "common/log.h"
-#include "common/strutil.h"
 
 namespace gpulitmus::cat {
 
@@ -15,542 +15,664 @@ using axiom::Relation;
 namespace {
 
 // ---------------------------------------------------------------------
-// Lexer
+// Program
 // ---------------------------------------------------------------------
 
-enum class Tok {
-    Ident,
-    Let,
-    Acyclic,
-    Irreflexive,
-    Empty,
-    As,
-    Eq,
-    Bar,
-    Amp,
-    Backslash,
-    Semi,
+/** The base relations (herd's names), in slot order: base k lives in
+ * slot k. */
+enum Base : int {
+    kPo,
+    kPoLoc,
+    kRf,
+    kRfe,
+    kRfi,
+    kCo,
+    kCoe,
+    kCoi,
+    kFr,
+    kFre,
+    kFri,
+    kAddr,
+    kData,
+    kCtrl,
+    kMembarCta,
+    kMembarGl,
+    kMembarSys,
+    kCta,
+    kGl,
+    kSys,
+    kRmw,
+    kLoc,
+    kId,
+    kExt,
+    kInt,
+    kZero,
+    kNumBases,
+};
+
+constexpr const char *kBaseNames[kNumBases] = {
+    "po",         "po-loc",    "rf",         "rfe",  "rfi", "co",
+    "coe",        "coi",       "fr",         "fre",  "fri", "addr",
+    "data",       "ctrl",      "membar.cta", "membar.gl",
+    "membar.sys", "cta",       "gl",         "sys",  "rmw", "loc",
+    "id",         "ext",       "int",        "0",
+};
+
+int
+baseByName(const std::string &name)
+{
+    for (int k = 0; k < kNumBases; ++k) {
+        if (name == kBaseNames[k])
+            return k;
+    }
+    return -1;
+}
+
+enum class Op : uint8_t {
+    Base, ///< dst = the execution's base relation dst (base k is slot k)
+    Union,
+    Inter,
+    Diff,
+    Seq,
     Plus,
     Star,
-    Question,
-    Inverse, // ^-1
-    LParen,
-    RParen,
-    Comma,
-    End,
+    Maybe,
+    Inverse,
+    Restrict, ///< dst = a with domain in set `dom`, range in `rng`
 };
 
-struct Token
+/** The event classes a filter restricts to. */
+enum class Events : uint8_t { Reads, Writes };
+
+/** One operation: writes slot dst from slots a (and b). Every dst is
+ * fresh (or the base's own slot), so no operand aliases it. */
+struct Instr
 {
-    Tok kind = Tok::End;
-    std::string text;
-    int line = 1;
+    Op op;
+    Events dom = Events::Reads;
+    Events rng = Events::Reads;
+    int dst = -1;
+    int a = -1;
+    int b = -1;
 };
 
-class Lexer
+/** A result the program exposes: a check's relation or a let's value,
+ * ready once the first `end` instructions have run. */
+struct Output
+{
+    std::string name;
+    int slot = -1;
+    size_t end = 0;
+    CheckKind kind = CheckKind::Acyclic; ///< checks only
+};
+
+/** Guards against untrusted input: the parser bounds the depth of one
+ * expression; these bound what inlining can make of them (the scratch
+ * storage is slots x events x 8 bytes, the compiler recurses once per
+ * nesting level). */
+constexpr size_t kMaxInstructions = 1 << 14;
+constexpr int kMaxCompileDepth = 2000;
+
+/** A compiled model: run code in order; every check and let is a
+ * slot of it. */
+struct Program
+{
+    std::vector<Instr> code;
+    std::vector<Output> checks;
+    /** Parameterless lets in source order (first definition first). */
+    std::vector<Output> lets;
+    int numSlots = kNumBases;
+};
+
+// ---------------------------------------------------------------------
+// Compiler
+// ---------------------------------------------------------------------
+
+class Compiler
 {
   public:
-    explicit Lexer(const std::string &src) : src_(src) { advance(); }
-
-    const Token &peek() const { return tok_; }
-
-    Token
-    take()
+    explicit Compiler(Program &prog) : prog_(prog)
     {
-        Token t = tok_;
-        advance();
-        return t;
+        for (int k = 0; k < kNumBases; ++k)
+            rels_[kBaseNames[k]] = k;
     }
 
     bool
-    takeIf(Tok kind)
+    compile(const std::vector<Stmt> &stmts, CatError *error)
     {
-        if (tok_.kind == kind) {
-            advance();
-            return true;
+        for (const auto &s : stmts) {
+            line_ = s.line;
+            if (s.kind == Stmt::Kind::Let && !s.params.empty()) {
+                if (!define(s))
+                    break;
+                continue;
+            }
+            int slot = expr(s.expr);
+            if (slot < 0)
+                break;
+            Output out;
+            out.slot = slot;
+            out.end = prog_.code.size();
+            if (s.kind == Stmt::Kind::Let) {
+                out.name = s.name;
+                rels_[s.name] = slot;
+                prog_.lets.push_back(std::move(out));
+            } else {
+                out.name = s.checkName;
+                out.kind = s.check;
+                prog_.checks.push_back(std::move(out));
+            }
         }
+        if (err_.message.empty())
+            return true;
+        if (error)
+            *error = err_;
         return false;
     }
 
   private:
-    void
-    advance()
+    /** Record a parameterised let; it is compiled where called. */
+    bool
+    define(const Stmt &s)
     {
-        skipTrivia();
-        tok_.line = line_;
-        if (pos_ >= src_.size()) {
-            tok_ = Token{Tok::End, "", line_};
-            return;
+        for (size_t i = 0; i < s.params.size(); ++i) {
+            for (size_t j = 0; j < i; ++j) {
+                if (s.params[i] == s.params[j]) {
+                    fail("duplicate parameter '" + s.params[i] +
+                             "' of '" + s.name + "'",
+                         s.line);
+                    return false;
+                }
+            }
         }
-        char c = src_[pos_];
-        auto simple = [&](Tok k, const char *text, size_t len) {
-            tok_ = Token{k, text, line_};
-            pos_ += len;
+        funcs_[s.name] = &s;
+        return true;
+    }
+
+    int
+    fail(const std::string &message, int line)
+    {
+        err_ = CatError{message, line};
+        return -1;
+    }
+
+    int
+    emit(Instr in)
+    {
+        if (prog_.code.size() >= kMaxInstructions)
+            return fail("model too large: more than " +
+                            std::to_string(kMaxInstructions) +
+                            " operations after inlining",
+                        line_);
+        if (in.dst < 0)
+            in.dst = prog_.numSlots++;
+        prog_.code.push_back(in);
+        return in.dst;
+    }
+
+    /** Slot of a name in scope; a base is loaded on first use. */
+    int
+    name(const ExprPtr &e)
+    {
+        auto it = rels_.find(e->name);
+        if (it == rels_.end())
+            return fail("undefined relation '" + e->name + "'", e->line);
+        int slot = it->second;
+        if (slot < kNumBases && !((loaded_ >> slot) & 1)) {
+            loaded_ |= 1ULL << slot;
+            Instr in{Op::Base};
+            in.dst = slot;
+            return emit(in);
+        }
+        return slot;
+    }
+
+    int
+    expr(const ExprPtr &e)
+    {
+        if (depth_ >= kMaxCompileDepth)
+            return fail("expression nested too deeply after inlining",
+                        e->line);
+        ++depth_;
+        int slot = lower(e);
+        --depth_;
+        return slot;
+    }
+
+    int
+    lower(const ExprPtr &e)
+    {
+        auto unary = [&](Op op) {
+            int a = expr(e->lhs);
+            if (a < 0)
+                return -1;
+            Instr in{op};
+            in.a = a;
+            return emit(in);
         };
-        switch (c) {
-          case '|': return simple(Tok::Bar, "|", 1);
-          case '&': return simple(Tok::Amp, "&", 1);
-          case '\\': return simple(Tok::Backslash, "\\", 1);
-          case ';': return simple(Tok::Semi, ";", 1);
-          case '+': return simple(Tok::Plus, "+", 1);
-          case '*': return simple(Tok::Star, "*", 1);
-          case '?': return simple(Tok::Question, "?", 1);
-          case '(': return simple(Tok::LParen, "(", 1);
-          case ')': return simple(Tok::RParen, ")", 1);
-          case ',': return simple(Tok::Comma, ",", 1);
-          case '=': return simple(Tok::Eq, "=", 1);
-          case '^':
-            if (src_.compare(pos_, 3, "^-1") == 0)
-                return simple(Tok::Inverse, "^-1", 3);
-            break;
-          default:
-            break;
+        auto binary = [&](Op op) {
+            int a = expr(e->lhs);
+            if (a < 0)
+                return -1;
+            int b = expr(e->rhs);
+            if (b < 0)
+                return -1;
+            Instr in{op};
+            in.a = a;
+            in.b = b;
+            return emit(in);
+        };
+        switch (e->kind) {
+          case Expr::Kind::Name: return name(e);
+          case Expr::Kind::Union: return binary(Op::Union);
+          case Expr::Kind::Inter: return binary(Op::Inter);
+          case Expr::Kind::Diff: return binary(Op::Diff);
+          case Expr::Kind::Seq: return binary(Op::Seq);
+          case Expr::Kind::Plus: return unary(Op::Plus);
+          case Expr::Kind::Star: return unary(Op::Star);
+          case Expr::Kind::Maybe: return unary(Op::Maybe);
+          case Expr::Kind::Inverse: return unary(Op::Inverse);
+          case Expr::Kind::App: return apply(e);
         }
-        if (std::isalnum(static_cast<unsigned char>(c)) || c == '_') {
-            size_t start = pos_;
-            while (pos_ < src_.size()) {
-                char d = src_[pos_];
-                if (std::isalnum(static_cast<unsigned char>(d)) ||
-                    d == '_' || d == '.' ||
-                    (d == '-' &&
-                     pos_ + 1 < src_.size() &&
-                     (std::isalnum(static_cast<unsigned char>(
-                          src_[pos_ + 1])) ||
-                      src_[pos_ + 1] == '_'))) {
-                    ++pos_;
-                } else {
-                    break;
-                }
-            }
-            std::string word = src_.substr(start, pos_ - start);
-            if (word == "let")
-                tok_ = Token{Tok::Let, word, line_};
-            else if (word == "acyclic")
-                tok_ = Token{Tok::Acyclic, word, line_};
-            else if (word == "irreflexive")
-                tok_ = Token{Tok::Irreflexive, word, line_};
-            else if (word == "empty")
-                tok_ = Token{Tok::Empty, word, line_};
-            else if (word == "as")
-                tok_ = Token{Tok::As, word, line_};
+        return fail("unknown expression", e->line);
+    }
+
+    int
+    apply(const ExprPtr &e)
+    {
+        static const struct
+        {
+            const char *name;
+            Events dom, rng;
+        } filters[] = {
+            {"WW", Events::Writes, Events::Writes},
+            {"WR", Events::Writes, Events::Reads},
+            {"RW", Events::Reads, Events::Writes},
+            {"RR", Events::Reads, Events::Reads},
+        };
+        for (const auto &f : filters) {
+            if (e->name != f.name)
+                continue;
+            if (e->args.size() != 1)
+                return fail("filter '" + e->name +
+                                "' takes one argument, got " +
+                                std::to_string(e->args.size()),
+                            e->line);
+            int a = expr(e->args[0]);
+            if (a < 0)
+                return -1;
+            Instr in{Op::Restrict, f.dom, f.rng};
+            in.a = a;
+            return emit(in);
+        }
+
+        auto it = funcs_.find(e->name);
+        if (it == funcs_.end())
+            return fail("undefined function '" + e->name + "'", e->line);
+        const Stmt *def = it->second;
+        if (def->params.size() != e->args.size())
+            return fail("'" + e->name + "' expects " +
+                            std::to_string(def->params.size()) +
+                            " arguments, got " +
+                            std::to_string(e->args.size()),
+                        e->line);
+        for (const Stmt *active : inlining_) {
+            if (active == def)
+                return fail("recursive call to '" + e->name + "'",
+                            e->line);
+        }
+        // Inline: bind each argument as it is compiled (a later
+        // argument sees the earlier parameters, as the body does),
+        // compile the body over the call site's scope, then unbind.
+        // An error ends the compilation, so it needs no unbinding.
+        std::vector<std::pair<std::string, std::optional<int>>> saved;
+        for (size_t i = 0; i < def->params.size(); ++i) {
+            int arg = expr(e->args[i]);
+            if (arg < 0)
+                return -1;
+            const std::string &param = def->params[i];
+            auto old = rels_.find(param);
+            saved.emplace_back(param, old == rels_.end()
+                                          ? std::nullopt
+                                          : std::optional<int>(old->second));
+            rels_[param] = arg;
+        }
+        inlining_.push_back(def);
+        int result = expr(def->expr);
+        inlining_.pop_back();
+        for (auto it2 = saved.rbegin(); it2 != saved.rend(); ++it2) {
+            if (it2->second)
+                rels_[it2->first] = *it2->second;
             else
-                tok_ = Token{Tok::Ident, word, line_};
-            return;
+                rels_.erase(it2->first);
         }
-        // Unknown character: surface as an Ident token the parser
-        // will reject with a line number.
-        tok_ = Token{Tok::Ident, std::string(1, c), line_};
-        ++pos_;
+        return result;
     }
 
-    void
-    skipTrivia()
-    {
-        for (;;) {
-            if (pos_ >= src_.size())
-                return;
-            char c = src_[pos_];
-            if (c == '\n') {
-                ++line_;
-                ++pos_;
-            } else if (std::isspace(static_cast<unsigned char>(c))) {
-                ++pos_;
-            } else if (src_.compare(pos_, 2, "//") == 0) {
-                while (pos_ < src_.size() && src_[pos_] != '\n')
-                    ++pos_;
-            } else if (src_.compare(pos_, 2, "(*") == 0) {
-                pos_ += 2;
-                while (pos_ < src_.size() &&
-                       src_.compare(pos_, 2, "*)") != 0) {
-                    if (src_[pos_] == '\n')
-                        ++line_;
-                    ++pos_;
-                }
-                pos_ += 2;
-            } else {
-                return;
-            }
-        }
-    }
-
-    const std::string &src_;
-    size_t pos_ = 0;
-    int line_ = 1;
-    Token tok_;
-};
-
-// ---------------------------------------------------------------------
-// AST
-// ---------------------------------------------------------------------
-
-struct Expr;
-using ExprPtr = std::shared_ptr<const Expr>;
-
-struct Expr
-{
-    enum class Kind {
-        Name,
-        Union,
-        Inter,
-        Diff,
-        Seq,
-        Plus,
-        Star,
-        Maybe,
-        Inverse,
-        App,
-    };
-
-    Kind kind;
-    std::string name;           // Name / App callee
-    std::vector<ExprPtr> args;  // App arguments
-    ExprPtr lhs, rhs;           // binary / unary (lhs only)
-    int line = 0;
-};
-
-enum class CheckKind { Acyclic, Irreflexive, Empty };
-
-struct Stmt
-{
-    enum class Kind { Let, Check };
-
-    Kind kind;
-    // Let
-    std::string name;
-    std::vector<std::string> params;
-    // Check
-    CheckKind check = CheckKind::Acyclic;
-    std::string checkName;
-
-    ExprPtr expr;
-    int line = 0;
-};
-
-// ---------------------------------------------------------------------
-// Parser
-// ---------------------------------------------------------------------
-
-class Parser
-{
-  public:
-    explicit Parser(const std::string &src) : lex_(src) {}
-
-    std::optional<std::vector<Stmt>>
-    parse(CatError *error)
-    {
-        std::vector<Stmt> stmts;
-        while (lex_.peek().kind != Tok::End) {
-            auto s = parseStmt();
-            if (!s) {
-                if (error)
-                    *error = err_;
-                return std::nullopt;
-            }
-            stmts.push_back(std::move(*s));
-        }
-        return stmts;
-    }
-
-  private:
-    std::nullopt_t
-    fail(const std::string &msg)
-    {
-        if (err_.message.empty()) {
-            err_.message = msg;
-            err_.line = lex_.peek().line;
-        }
-        return std::nullopt;
-    }
-
-    std::optional<Stmt>
-    parseStmt()
-    {
-        const Token &t = lex_.peek();
-        if (t.kind == Tok::Let)
-            return parseLet();
-        if (t.kind == Tok::Acyclic || t.kind == Tok::Irreflexive ||
-            t.kind == Tok::Empty)
-            return parseCheck();
-        return fail("expected 'let' or a check, got '" + t.text + "'");
-    }
-
-    std::optional<Stmt>
-    parseLet()
-    {
-        Stmt s;
-        s.kind = Stmt::Kind::Let;
-        s.line = lex_.peek().line;
-        lex_.take(); // let
-        if (lex_.peek().kind != Tok::Ident)
-            return fail("expected name after 'let'");
-        s.name = lex_.take().text;
-        if (lex_.takeIf(Tok::LParen)) {
-            for (;;) {
-                if (lex_.peek().kind != Tok::Ident)
-                    return fail("expected parameter name");
-                s.params.push_back(lex_.take().text);
-                if (lex_.takeIf(Tok::Comma))
-                    continue;
-                if (lex_.takeIf(Tok::RParen))
-                    break;
-                return fail("expected ',' or ')' in parameter list");
-            }
-        }
-        if (!lex_.takeIf(Tok::Eq))
-            return fail("expected '=' in let");
-        auto e = parseExpr();
-        if (!e)
-            return std::nullopt;
-        s.expr = *e;
-        return s;
-    }
-
-    std::optional<Stmt>
-    parseCheck()
-    {
-        Stmt s;
-        s.kind = Stmt::Kind::Check;
-        s.line = lex_.peek().line;
-        Token t = lex_.take();
-        switch (t.kind) {
-          case Tok::Acyclic: s.check = CheckKind::Acyclic; break;
-          case Tok::Irreflexive: s.check = CheckKind::Irreflexive; break;
-          case Tok::Empty: s.check = CheckKind::Empty; break;
-          default: panic("unreachable");
-        }
-        auto e = parseExpr();
-        if (!e)
-            return std::nullopt;
-        s.expr = *e;
-        if (lex_.takeIf(Tok::As)) {
-            if (lex_.peek().kind != Tok::Ident)
-                return fail("expected name after 'as'");
-            s.checkName = lex_.take().text;
-        } else {
-            s.checkName = t.text;
-        }
-        return s;
-    }
-
-    // Precedence (loosest to tightest): | then & then \ then ;
-    std::optional<ExprPtr>
-    parseExpr()
-    {
-        return parseBinary(0);
-    }
-
-    std::optional<ExprPtr>
-    parseBinary(int level)
-    {
-        static const Tok ops[] = {Tok::Bar, Tok::Amp, Tok::Backslash,
-                                  Tok::Semi};
-        static const Expr::Kind kinds[] = {
-            Expr::Kind::Union, Expr::Kind::Inter, Expr::Kind::Diff,
-            Expr::Kind::Seq};
-        if (level == 4)
-            return parsePostfix();
-        auto lhs = parseBinary(level + 1);
-        if (!lhs)
-            return std::nullopt;
-        while (lex_.peek().kind == ops[level]) {
-            int line = lex_.take().line;
-            auto rhs = parseBinary(level + 1);
-            if (!rhs)
-                return std::nullopt;
-            auto e = std::make_shared<Expr>();
-            e->kind = kinds[level];
-            e->lhs = *lhs;
-            e->rhs = *rhs;
-            e->line = line;
-            lhs = e;
-        }
-        return lhs;
-    }
-
-    std::optional<ExprPtr>
-    parsePostfix()
-    {
-        auto base = parseAtom();
-        if (!base)
-            return std::nullopt;
-        for (;;) {
-            Expr::Kind k;
-            if (lex_.peek().kind == Tok::Plus)
-                k = Expr::Kind::Plus;
-            else if (lex_.peek().kind == Tok::Star)
-                k = Expr::Kind::Star;
-            else if (lex_.peek().kind == Tok::Question)
-                k = Expr::Kind::Maybe;
-            else if (lex_.peek().kind == Tok::Inverse)
-                k = Expr::Kind::Inverse;
-            else
-                break;
-            int line = lex_.take().line;
-            auto e = std::make_shared<Expr>();
-            e->kind = k;
-            e->lhs = *base;
-            e->line = line;
-            base = ExprPtr(e);
-        }
-        return base;
-    }
-
-    std::optional<ExprPtr>
-    parseAtom()
-    {
-        const Token &t = lex_.peek();
-        if (t.kind == Tok::LParen) {
-            lex_.take();
-            auto inner = parseExpr();
-            if (!inner)
-                return std::nullopt;
-            if (!lex_.takeIf(Tok::RParen))
-                return fail("expected ')'");
-            return inner;
-        }
-        if (t.kind != Tok::Ident)
-            return fail("expected relation, got '" + t.text + "'");
-        Token name = lex_.take();
-        auto e = std::make_shared<Expr>();
-        e->name = name.text;
-        e->line = name.line;
-        if (lex_.takeIf(Tok::LParen)) {
-            e->kind = Expr::Kind::App;
-            for (;;) {
-                auto arg = parseExpr();
-                if (!arg)
-                    return std::nullopt;
-                e->args.push_back(*arg);
-                if (lex_.takeIf(Tok::Comma))
-                    continue;
-                if (lex_.takeIf(Tok::RParen))
-                    break;
-                return fail("expected ',' or ')' in arguments");
-            }
-        } else {
-            e->kind = Expr::Kind::Name;
-        }
-        return ExprPtr(e);
-    }
-
-    Lexer lex_;
+    Program &prog_;
     CatError err_;
+    std::map<std::string, int> rels_;
+    std::map<std::string, const Stmt *> funcs_;
+    std::vector<const Stmt *> inlining_;
+    uint64_t loaded_ = 0; ///< bases with an emitted load
+    int depth_ = 0;       ///< expr() recursion depth
+    int line_ = 0;        ///< line of the statement being compiled
 };
-
-} // anonymous namespace
 
 // ---------------------------------------------------------------------
 // Evaluator
 // ---------------------------------------------------------------------
 
-struct Model::Impl
+/** One execution's evaluation: slot s is rows [s*n, s*n + n) of the
+ * scratch storage. */
+class Run
 {
-    std::vector<Stmt> stmts;
-
-    struct Env
+  public:
+    Run(const Program &prog, const Execution &ex,
+        std::vector<uint64_t> &storage)
+        : prog_(prog), ex_(ex), n_(ex.numEvents())
     {
-        const Execution *ex = nullptr;
-        std::map<std::string, Relation> rels;
-        std::map<std::string, EventSet> sets;
-        std::map<std::string, const Stmt *> funcs;
-    };
+        // One extra slot past the program's for check closures.
+        size_t need = static_cast<size_t>(prog.numSlots + 1) *
+                      static_cast<size_t>(n_);
+        if (storage.size() < need)
+            storage.resize(need);
+        rows_ = storage.data();
+        all_ = n_ == 64 ? ~0ULL : ((1ULL << n_) - 1);
+        for (const auto &e : ex.events) {
+            if (e.isRead())
+                reads_ |= 1ULL << e.id;
+            else if (e.isWrite())
+                writes_ |= 1ULL << e.id;
+        }
+    }
 
-    Relation
-    eval(const ExprPtr &e, Env &env) const
+    /** Run instructions [pc_, end). */
+    void
+    runTo(size_t end)
     {
-        switch (e->kind) {
-          case Expr::Kind::Name: {
-            auto it = env.rels.find(e->name);
-            if (it != env.rels.end())
-                return it->second;
-            fatal("cat: undefined relation '%s' (line %d)",
-                  e->name.c_str(), e->line);
+        for (; pc_ < end; ++pc_)
+            exec(prog_.code[pc_]);
+    }
+
+    const uint64_t *slot(int s) const { return rows_ + s * n_; }
+
+    bool
+    passes(const Output &check)
+    {
+        runTo(check.end);
+        const uint64_t *r = slot(check.slot);
+        switch (check.kind) {
+          case CheckKind::Acyclic: {
+            uint64_t *c = mut(prog_.numSlots);
+            copy(c, r);
+            close(c);
+            return irreflexive(c);
           }
-          case Expr::Kind::Union:
-            return eval(e->lhs, env) | eval(e->rhs, env);
-          case Expr::Kind::Inter:
-            return eval(e->lhs, env) & eval(e->rhs, env);
-          case Expr::Kind::Diff:
-            return eval(e->lhs, env).minus(eval(e->rhs, env));
-          case Expr::Kind::Seq:
-            return eval(e->lhs, env).seq(eval(e->rhs, env));
-          case Expr::Kind::Plus:
-            return eval(e->lhs, env).plus();
-          case Expr::Kind::Star:
-            return eval(e->lhs, env).star();
-          case Expr::Kind::Maybe:
-            return eval(e->lhs, env).maybe();
-          case Expr::Kind::Inverse:
-            return eval(e->lhs, env).inverse();
-          case Expr::Kind::App:
-            return apply(e, env);
+          case CheckKind::Irreflexive:
+            return irreflexive(r);
+          case CheckKind::Empty:
+            for (int i = 0; i < n_; ++i) {
+                if (r[i])
+                    return false;
+            }
+            return true;
         }
-        panic("unreachable");
+        return false;
     }
 
     Relation
-    apply(const ExprPtr &e, Env &env) const
+    relation(int s) const
     {
-        // Built-in event-class filters.
-        auto filter = [&](EventSet dom,
-                          EventSet rng) -> Relation {
-            if (e->args.size() != 1)
-                fatal("cat: filter '%s' takes one argument (line %d)",
-                      e->name.c_str(), e->line);
-            return eval(e->args[0], env).restrict(dom, rng);
+        return Relation::fromRows(n_, slot(s));
+    }
+
+    /** Compute base relation k into its slot. */
+    void
+    base(int k)
+    {
+        uint64_t *out = mut(k);
+        auto rel = [&](const Relation &r) {
+            for (int i = 0; i < n_; ++i)
+                out[i] = r.row(i);
         };
-        EventSet r_set = env.sets.at("R");
-        EventSet w_set = env.sets.at("W");
-        if (e->name == "WW")
-            return filter(w_set, w_set);
-        if (e->name == "WR")
-            return filter(w_set, r_set);
-        if (e->name == "RW")
-            return filter(r_set, w_set);
-        if (e->name == "RR")
-            return filter(r_set, r_set);
-
-        auto it = env.funcs.find(e->name);
-        if (it == env.funcs.end())
-            fatal("cat: undefined function '%s' (line %d)",
-                  e->name.c_str(), e->line);
-        const Stmt *def = it->second;
-        if (def->params.size() != e->args.size())
-            fatal("cat: '%s' expects %zu arguments, got %zu (line %d)",
-                  e->name.c_str(), def->params.size(), e->args.size(),
-                  e->line);
-        // Evaluate arguments, bind, evaluate body, restore.
-        std::vector<std::pair<std::string, std::optional<Relation>>>
-            saved;
-        for (size_t i = 0; i < def->params.size(); ++i) {
-            Relation arg = eval(e->args[i], env);
-            auto old = env.rels.find(def->params[i]);
-            saved.emplace_back(def->params[i],
-                               old == env.rels.end()
-                                   ? std::nullopt
-                                   : std::optional<Relation>(
-                                         old->second));
-            env.rels[def->params[i]] = std::move(arg);
+        auto split = [&](const Relation &r, bool external) {
+            sameThread();
+            for (int i = 0; i < n_; ++i)
+                out[i] = r.row(i) &
+                         (external ? ~thread_[i] : thread_[i]);
+        };
+        switch (k) {
+          case kPo: return rel(ex_.po);
+          case kPoLoc:
+            sameLoc();
+            for (int i = 0; i < n_; ++i)
+                out[i] = ex_.po.row(i) & loc_[i];
+            return;
+          case kRf: return rel(ex_.rf);
+          case kRfe: return split(ex_.rf, true);
+          case kRfi: return split(ex_.rf, false);
+          case kCo: return rel(ex_.co);
+          case kCoe: return split(ex_.co, true);
+          case kCoi: return split(ex_.co, false);
+          case kFr:
+          case kFre:
+          case kFri: {
+            // fr = (rf^-1 ; co) \ id
+            uint64_t src[axiom::kMaxEvents] = {};
+            for (int w = 0; w < n_; ++w) {
+                for (uint64_t row = ex_.rf.row(w); row; row &= row - 1)
+                    src[__builtin_ctzll(row)] |= 1ULL << w;
+            }
+            if (k != kFr)
+                sameThread();
+            for (int i = 0; i < n_; ++i) {
+                uint64_t fr = 0;
+                for (uint64_t ws = src[i]; ws; ws &= ws - 1)
+                    fr |= ex_.co.row(__builtin_ctzll(ws));
+                fr &= ~(1ULL << i);
+                if (k == kFre)
+                    fr &= ~thread_[i];
+                else if (k == kFri)
+                    fr &= thread_[i];
+                out[i] = fr;
+            }
+            return;
+          }
+          case kAddr: return rel(ex_.addr);
+          case kData: return rel(ex_.data);
+          case kCtrl: return rel(ex_.ctrl);
+          case kMembarCta: return rel(ex_.membarCta);
+          case kMembarGl: return rel(ex_.membarGl);
+          case kMembarSys: return rel(ex_.membarSys);
+          case kCta: return rel(ex_.scopeCta);
+          case kGl: return rel(ex_.scopeGl);
+          case kSys: return rel(ex_.scopeSys);
+          case kRmw:
+            std::fill(out, out + n_, 0);
+            for (const auto &e : ex_.events) {
+                if (e.isRead() && e.rmwPartner >= 0)
+                    out[e.id] |= 1ULL << e.rmwPartner;
+            }
+            return;
+          case kLoc:
+            sameLoc();
+            std::copy(loc_, loc_ + n_, out);
+            return;
+          case kId:
+            for (int i = 0; i < n_; ++i)
+                out[i] = 1ULL << i;
+            return;
+          case kExt:
+            sameThread();
+            for (int i = 0; i < n_; ++i)
+                out[i] = all_ & ~thread_[i];
+            return;
+          case kInt:
+            sameThread();
+            for (int i = 0; i < n_; ++i)
+                out[i] = thread_[i] & ~(1ULL << i);
+            return;
+          case kZero:
+            std::fill(out, out + n_, 0);
+            return;
+          default:
+            break;
         }
-        Relation result = eval(def->expr, env);
-        for (auto &[name, old] : saved) {
-            if (old)
-                env.rels[name] = std::move(*old);
-            else
-                env.rels.erase(name);
-        }
-        return result;
+        panic("cat: unknown base relation %d", k);
     }
 
-    Env
-    baseEnv(const Execution &ex) const
+  private:
+    uint64_t *mut(int s) { return rows_ + s * n_; }
+
+    void
+    copy(uint64_t *d, const uint64_t *a) const
     {
-        Env env;
-        env.ex = &ex;
-        env.rels = ex.relationEnv();
-        env.sets = ex.setEnv();
-        return env;
+        std::copy(a, a + n_, d);
     }
+
+    /** Transitive closure in place (Warshall). */
+    void
+    close(uint64_t *d) const
+    {
+        for (int k = 0; k < n_; ++k) {
+            for (int i = 0; i < n_; ++i) {
+                if ((d[i] >> k) & 1)
+                    d[i] |= d[k];
+            }
+        }
+    }
+
+    bool
+    irreflexive(const uint64_t *r) const
+    {
+        for (int i = 0; i < n_; ++i) {
+            if ((r[i] >> i) & 1)
+                return false;
+        }
+        return true;
+    }
+
+    EventSet
+    events(Events c) const
+    {
+        return c == Events::Reads ? reads_ : writes_;
+    }
+
+    void
+    exec(const Instr &in)
+    {
+        uint64_t *d = mut(in.dst);
+        const uint64_t *a = in.a >= 0 ? slot(in.a) : nullptr;
+        const uint64_t *b = in.b >= 0 ? slot(in.b) : nullptr;
+        switch (in.op) {
+          case Op::Base:
+            base(in.dst);
+            return;
+          case Op::Union:
+            for (int i = 0; i < n_; ++i)
+                d[i] = a[i] | b[i];
+            return;
+          case Op::Inter:
+            for (int i = 0; i < n_; ++i)
+                d[i] = a[i] & b[i];
+            return;
+          case Op::Diff:
+            for (int i = 0; i < n_; ++i)
+                d[i] = a[i] & ~b[i];
+            return;
+          case Op::Seq:
+            for (int i = 0; i < n_; ++i) {
+                uint64_t out = 0;
+                for (uint64_t row = a[i]; row; row &= row - 1)
+                    out |= b[__builtin_ctzll(row)];
+                d[i] = out;
+            }
+            return;
+          case Op::Plus:
+          case Op::Star:
+            copy(d, a);
+            close(d);
+            if (in.op == Op::Star) {
+                for (int i = 0; i < n_; ++i)
+                    d[i] |= 1ULL << i;
+            }
+            return;
+          case Op::Maybe:
+            for (int i = 0; i < n_; ++i)
+                d[i] = a[i] | (1ULL << i);
+            return;
+          case Op::Inverse:
+            std::fill(d, d + n_, 0);
+            for (int i = 0; i < n_; ++i) {
+                for (uint64_t row = a[i]; row; row &= row - 1)
+                    d[__builtin_ctzll(row)] |= 1ULL << i;
+            }
+            return;
+          case Op::Restrict: {
+            const EventSet dom = events(in.dom);
+            const EventSet rng = events(in.rng);
+            for (int i = 0; i < n_; ++i)
+                d[i] = (dom >> i) & 1 ? a[i] & rng : 0;
+            return;
+          }
+        }
+    }
+
+    /** Same-thread masks (each event with itself included). */
+    void
+    sameThread()
+    {
+        if (haveThread_)
+            return;
+        haveThread_ = true;
+        const auto &ev = ex_.events;
+        for (int i = 0; i < n_; ++i) {
+            uint64_t m = 0;
+            for (int j = 0; j < n_; ++j) {
+                if (ev[j].tid == ev[i].tid)
+                    m |= 1ULL << j;
+            }
+            thread_[i] = m;
+        }
+    }
+
+    /** Same-location masks over memory events, irreflexive. */
+    void
+    sameLoc()
+    {
+        if (haveLoc_)
+            return;
+        haveLoc_ = true;
+        const auto &ev = ex_.events;
+        std::fill(loc_, loc_ + n_, 0);
+        for (int i = 0; i < n_; ++i) {
+            if (ev[i].isFence())
+                continue;
+            for (int j = i + 1; j < n_; ++j) {
+                if (!ev[j].isFence() && ev[i].loc == ev[j].loc) {
+                    loc_[ev[i].id] |= 1ULL << ev[j].id;
+                    loc_[ev[j].id] |= 1ULL << ev[i].id;
+                }
+            }
+        }
+    }
+
+    const Program &prog_;
+    const Execution &ex_;
+    const int n_;
+    uint64_t *rows_ = nullptr;
+    size_t pc_ = 0;
+    EventSet all_ = 0, reads_ = 0, writes_ = 0;
+    bool haveThread_ = false, haveLoc_ = false;
+    uint64_t thread_[axiom::kMaxEvents];
+    uint64_t loc_[axiom::kMaxEvents];
+};
+
+} // anonymous namespace
+
+struct Model::Impl : Program
+{
 };
 
 std::string
@@ -567,13 +689,13 @@ std::optional<Model>
 Model::parse(const std::string &source, const std::string &name,
              CatError *error)
 {
-    Parser parser(source);
-    auto stmts = parser.parse(error);
+    auto stmts = parseStatements(source, error);
     if (!stmts)
         return std::nullopt;
-    Model m;
     auto impl = std::make_shared<Impl>();
-    impl->stmts = std::move(*stmts);
+    if (!Compiler(*impl).compile(*stmts, error))
+        return std::nullopt;
+    Model m;
     m.impl_ = std::move(impl);
     m.name_ = name;
     return m;
@@ -593,72 +715,67 @@ Model::parseOrDie(const std::string &source, const std::string &name)
 ModelResult
 Model::evaluate(const axiom::Execution &ex) const
 {
-    Impl::Env env = impl_->baseEnv(ex);
+    Scratch scratch;
+    Run run(*impl_, ex, scratch.rows_);
     ModelResult result;
     result.allowed = true;
-    for (const auto &s : impl_->stmts) {
-        if (s.kind == Stmt::Kind::Let) {
-            if (s.params.empty())
-                env.rels[s.name] = impl_->eval(s.expr, env);
-            else
-                env.funcs[s.name] = &s;
-            continue;
-        }
-        Relation r = impl_->eval(s.expr, env);
+    for (const auto &check : impl_->checks) {
         CheckResult cr;
-        cr.name = s.checkName;
-        switch (s.check) {
-          case CheckKind::Acyclic:
-            cr.kind = "acyclic";
-            cr.passed = r.acyclic();
-            if (!cr.passed)
-                cr.cycle = r.findCycle();
-            break;
-          case CheckKind::Irreflexive:
-            cr.kind = "irreflexive";
-            cr.passed = r.irreflexive();
-            break;
-          case CheckKind::Empty:
-            cr.kind = "empty";
-            cr.passed = r.empty();
-            break;
-        }
+        cr.name = check.name;
+        cr.kind = toString(check.kind);
+        cr.passed = run.passes(check);
+        if (!cr.passed && check.kind == CheckKind::Acyclic)
+            cr.cycle = run.relation(check.slot).findCycle();
         result.allowed &= cr.passed;
         result.checks.push_back(std::move(cr));
     }
     return result;
 }
 
+int
+Model::firstFailure(const axiom::Execution &ex, Scratch &scratch) const
+{
+    Run run(*impl_, ex, scratch.rows_);
+    const auto &checks = impl_->checks;
+    for (size_t i = 0; i < checks.size(); ++i) {
+        if (!run.passes(checks[i]))
+            return static_cast<int>(i);
+    }
+    return -1;
+}
+
 std::optional<axiom::Relation>
 Model::relation(const std::string &name,
                 const axiom::Execution &ex) const
 {
-    Impl::Env env = impl_->baseEnv(ex);
-    for (const auto &s : impl_->stmts) {
-        if (s.kind != Stmt::Kind::Let)
-            continue;
-        if (s.params.empty())
-            env.rels[s.name] = impl_->eval(s.expr, env);
-        else
-            env.funcs[s.name] = &s;
-        if (s.name == name && s.params.empty())
-            return env.rels[s.name];
+    Scratch scratch;
+    Run run(*impl_, ex, scratch.rows_);
+    for (const auto &let : impl_->lets) {
+        if (let.name == name) {
+            run.runTo(let.end);
+            return run.relation(let.slot);
+        }
     }
-    auto it = env.rels.find(name);
-    if (it != env.rels.end())
-        return it->second;
-    return std::nullopt;
+    int k = baseByName(name);
+    if (k < 0)
+        return std::nullopt;
+    run.base(k);
+    return run.relation(k);
 }
 
 std::vector<std::string>
 Model::checkNames() const
 {
     std::vector<std::string> names;
-    for (const auto &s : impl_->stmts) {
-        if (s.kind == Stmt::Kind::Check)
-            names.push_back(s.checkName);
-    }
+    for (const auto &c : impl_->checks)
+        names.push_back(c.name);
     return names;
+}
+
+const std::string &
+Model::checkName(int index) const
+{
+    return impl_->checks.at(static_cast<size_t>(index)).name;
 }
 
 } // namespace gpulitmus::cat

@@ -13,11 +13,23 @@
  * | & \ ; + * ? ^-1, parentheses, the event-class filters WW / WR /
  * RW / RR, and the checks acyclic / irreflexive / empty with "as"
  * names. Comments are (* ... *) or // to end of line.
+ *
+ * Model::parse compiles the statements once into a flat program over
+ * numbered relation slots: the base relations, each let and each
+ * operator result get a fixed slot, every call of a parameterised let
+ * is inlined at its call site (its body sees the names in scope there,
+ * with the parameters bound over them), and the filters become
+ * restrict operations. Everything a model could get wrong is a
+ * CatError from parse, never a failure mid-evaluation: an undefined
+ * name, a call with the wrong number of arguments, a filter with more
+ * than one, a duplicate parameter, recursion, and programs nested too
+ * deeply or too large after inlining.
  */
 
 #ifndef GPULITMUS_CAT_CAT_H
 #define GPULITMUS_CAT_CAT_H
 
+#include <cstdint>
 #include <memory>
 #include <optional>
 #include <string>
@@ -54,11 +66,24 @@ struct CatError
     int line = 0;
 };
 
-/** A parsed .cat model. */
+/** A compiled .cat model. Immutable once parsed: one Model may be
+ * evaluated from many threads at once, each with its own Scratch. */
 class Model
 {
   public:
-    /** Parse source text; nullopt + error on bad syntax. */
+    /**
+     * Working storage for evaluations: one relation per program slot
+     * for the execution at hand. Reuse one across the executions of a
+     * check (it only grows); never share one between threads.
+     */
+    class Scratch
+    {
+        friend class Model;
+        std::vector<uint64_t> rows_;
+    };
+
+    /** Parse and compile source text; nullopt + error (with its line)
+     * on bad syntax or an unresolvable model. */
     static std::optional<Model> parse(const std::string &source,
                                       const std::string &name = "",
                                       CatError *error = nullptr);
@@ -71,9 +96,18 @@ class Model
     ModelResult evaluate(const axiom::Execution &ex) const;
 
     /**
+     * Index (into checkNames()) of the first check the execution
+     * fails, or -1 when the model allows it. Stops at that check and
+     * finds no witness cycle: the question a model checker asks of
+     * every candidate.
+     */
+    int firstFailure(const axiom::Execution &ex, Scratch &scratch) const;
+
+    /**
      * Evaluate a named relation (either primitive or defined by a
      * let) in the context of an execution. Useful for inspection and
-     * tests. nullopt if undefined or parameterised.
+     * tests. nullopt if undefined or parameterised. A name let-bound
+     * twice gives its first definition.
      */
     std::optional<axiom::Relation>
     relation(const std::string &name, const axiom::Execution &ex) const;
@@ -82,6 +116,9 @@ class Model
 
     /** Names of the checks in order. */
     std::vector<std::string> checkNames() const;
+
+    /** Name of check `index` (checkNames()[index]). */
+    const std::string &checkName(int index) const;
 
   private:
     struct Impl;

@@ -1,6 +1,7 @@
 #include "litmus/test.h"
 
 #include <set>
+#include <utility>
 
 #include "common/log.h"
 #include "common/strutil.h"
@@ -268,7 +269,7 @@ TestBuilder::build()
             ScopeTree::interCta(test_.program.numThreads());
     }
     test_.validate();
-    return test_;
+    return std::move(test_);
 }
 
 } // namespace gpulitmus::litmus

@@ -154,7 +154,8 @@ class TestBuilder
     TestBuilder &notExists(const std::string &cond);
     TestBuilder &forall(const std::string &cond);
 
-    /** Finalise; panics on inconsistent tests. */
+    /** Finalise; panics on inconsistent tests. Moves the test out:
+     * call once, as the last use of the builder. */
     Test build();
 
   private:

@@ -12,6 +12,42 @@ namespace gpulitmus::model {
 namespace {
 
 /**
+ * A test's candidate executions plus what every model check reads of
+ * each besides its relations: the outcome key (Histogram::keyFor) and
+ * whether the final state satisfies the condition. Computed once per
+ * enumeration, so the models checked against one test share them.
+ */
+struct Candidates
+{
+    std::vector<axiom::Execution> executions;
+    /** Distinct outcome keys, in first-seen order. */
+    std::vector<std::string> keys;
+    /** Per execution: index into keys. */
+    std::vector<uint32_t> keyIndex;
+    /** Per execution: does it satisfy the condition body? */
+    std::vector<uint8_t> satisfies;
+
+    Candidates(const litmus::Test &test,
+               std::vector<axiom::Execution> execs)
+        : executions(std::move(execs))
+    {
+        litmus::Histogram keyer(test);
+        std::unordered_map<std::string, uint32_t> seen;
+        keyIndex.reserve(executions.size());
+        satisfies.reserve(executions.size());
+        for (const auto &ex : executions) {
+            auto [it, fresh] =
+                seen.try_emplace(keyer.keyFor(ex.finalState),
+                                 static_cast<uint32_t>(keys.size()));
+            if (fresh)
+                keys.push_back(it->first);
+            keyIndex.push_back(it->second);
+            satisfies.push_back(test.condition.eval(ex.finalState));
+        }
+    }
+};
+
+/**
  * Process-wide memo of candidate-execution enumerations, keyed by
  * test text digest and enumerator options. Enumeration dominates a
  * validation sweep's model-side cost; a test checked against N models
@@ -23,7 +59,7 @@ namespace {
 class EnumerationCache
 {
   public:
-    std::shared_ptr<const std::vector<axiom::Execution>>
+    std::shared_ptr<const Candidates>
     get(const litmus::Test &test, const litmus::TestText &text,
         const axiom::EnumeratorOptions &opts)
     {
@@ -40,9 +76,8 @@ class EnumerationCache
         }
         // Enumerate outside the lock; a concurrent duplicate is
         // wasted work, not an error.
-        auto execs =
-            std::make_shared<const std::vector<axiom::Execution>>(
-                axiom::enumerateExecutions(test, opts));
+        auto execs = std::make_shared<const Candidates>(
+            test, axiom::enumerateExecutions(test, opts));
         std::lock_guard<std::mutex> lock(mutex_);
         if (map_.size() >= kMaxEntries)
             map_.clear();
@@ -69,7 +104,7 @@ class EnumerationCache
     {
         std::string text; ///< collision guard
         axiom::EnumeratorOptions opts;
-        std::shared_ptr<const std::vector<axiom::Execution>> execs;
+        std::shared_ptr<const Candidates> execs;
     };
 
     static uint64_t
@@ -151,20 +186,20 @@ Checker::check(const litmus::Test &test,
     v.testName = test.name;
     v.modelName = model_->name();
 
-    litmus::Histogram keyer(test);
-
     auto shared = enumerationCache().get(test, text, opts_);
-    const std::vector<axiom::Execution> &executions = *shared;
-    v.numCandidates = executions.size();
+    const Candidates &cands = *shared;
+    v.numCandidates = cands.executions.size();
 
+    cat::Model::Scratch scratch;
+    std::vector<uint8_t> keyAllowed(cands.keys.size(), 0);
     bool forall_ok = true;
-    for (auto &ex : executions) {
-        cat::ModelResult res = model_->evaluate(ex);
-        std::string key = keyer.keyFor(ex.finalState);
-        bool satisfies = test.condition.eval(ex.finalState);
-        if (res.allowed) {
+    for (size_t i = 0; i < cands.executions.size(); ++i) {
+        const axiom::Execution &ex = cands.executions[i];
+        const int failed = model_->firstFailure(ex, scratch);
+        const bool satisfies = cands.satisfies[i];
+        if (failed < 0) {
             ++v.numAllowed;
-            v.allowedKeys.insert(key);
+            keyAllowed[cands.keyIndex[i]] = 1;
             if (satisfies) {
                 v.conditionSatisfiable = true;
                 if (!v.witness)
@@ -174,16 +209,14 @@ Checker::check(const litmus::Test &test,
             }
         } else if (satisfies && !v.forbiddenWitness) {
             v.forbiddenWitness = ex;
-            v.forbiddingCheck = res.firstFailure();
+            v.forbiddingCheck = model_->checkName(failed);
         }
     }
 
     // Forbidden keys: keys seen only on forbidden candidates.
-    for (auto &ex : executions) {
-        std::string key = keyer.keyFor(ex.finalState);
-        if (!v.allowedKeys.count(key))
-            v.forbiddenKeys.insert(key);
-    }
+    for (size_t k = 0; k < cands.keys.size(); ++k)
+        (keyAllowed[k] ? v.allowedKeys : v.forbiddenKeys)
+            .insert(cands.keys[k]);
 
     switch (test.quantifier) {
       case litmus::Quantifier::Exists:

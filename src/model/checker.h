@@ -62,8 +62,11 @@ struct Verdict
  * Candidate-execution enumeration — the hot path of a validation
  * sweep — is memoised process-wide by (test text digest, enumerator
  * options), so checking one test against N models enumerates its
- * executions once. The memo is shared by every Checker instance and
- * is safe to hit from campaign worker threads.
+ * executions once. The memo also keeps each execution's outcome key
+ * and condition flag, so the N checks render each key once. It is
+ * shared by every Checker instance and is safe to hit from campaign
+ * worker threads. Each check evaluates the model with its own
+ * cat::Model::Scratch (see cat.h), so a Checker is thread-safe too.
  */
 class Checker
 {

@@ -157,6 +157,10 @@ TEST(Strutil, ParseInt)
     EXPECT_FALSE(parseInt("4x2").has_value());
     EXPECT_FALSE(parseInt("").has_value());
     EXPECT_FALSE(parseInt("abc").has_value());
+    // Out of 64-bit range: refused, not clamped.
+    EXPECT_EQ(parseInt("9223372036854775807").value(), INT64_MAX);
+    EXPECT_FALSE(parseInt("9223372036854775808").has_value());
+    EXPECT_FALSE(parseInt("-99999999999999999999").has_value());
 }
 
 TEST(Strutil, Join)

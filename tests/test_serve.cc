@@ -627,6 +627,47 @@ TEST(Serve, UnknownCommandYieldsErrorEventNotDisconnect)
     EXPECT_EQ(list->getString("abi"), gpulitmus::kAbiVersionString);
 }
 
+TEST(Serve, BadCatModelYieldsErrorEventAndTheDaemonServesOn)
+{
+    // A .cat file that does not compile (here a recursive call and an
+    // undefined name) is refused when the request is planned, with an
+    // error event that names the line.
+    TestServer ts("badcat");
+    ASSERT_NE(ts.server, nullptr);
+    TempDir dir("badcat_models");
+    const std::vector<std::pair<std::string, std::string>> models = {
+        {"rec.cat", "let f(x) = f(x)\nacyclic f(po) as r\n"},
+        {"undef.cat", "let com = rf | co | fr\nacyclic (com | nope) as r\n"},
+    };
+    for (const auto &[file, source] : models) {
+        const std::string path = (dir.path / file).string();
+        std::ofstream(path) << source;
+        Request bad;
+        bad.cmd = "validate";
+        bad.id = file;
+        bad.tests.push_back({"mp", "", ""});
+        bad.chips = {"Titan"};
+        bad.iterations = 200;
+        bad.models = {path};
+        Collected c = submitAndCollect(ts.socket, bad);
+        EXPECT_EQ(c.exit, 1) << file;
+        ASSERT_FALSE(c.kinds.empty()) << file;
+        EXPECT_EQ(c.kinds.back(), "error") << file;
+        EXPECT_NE(c.error.find("line"), std::string::npos) << c.error;
+    }
+
+    // The daemon is still up and answers the next request.
+    Request good;
+    good.cmd = "validate";
+    good.id = "after-bad-cat";
+    good.tests.push_back({"mp", "", ""});
+    good.chips = {"Titan"};
+    good.iterations = 200;
+    Collected ok = submitAndCollect(ts.socket, good);
+    EXPECT_EQ(ok.exit, 0) << ok.error;
+    EXPECT_FALSE(ok.resultCells.empty());
+}
+
 TEST(Serve, ValidateMatchesBatchEngineAndWarmsTheStore)
 {
     TestServer ts("warm");

@@ -156,6 +156,9 @@ struct Args
         return it == flags.end() ? fallback : it->second;
     }
 
+    /** An integer flag, or `fallback` when absent. main() has
+     * already refused a present value that is not an integer in the
+     * flag's range (checkIntFlags lists every flag read here). */
     int64_t
     getInt(const std::string &name, int64_t fallback) const
     {
@@ -180,7 +183,10 @@ parseArgs(int argc, char **argv, int start)
             if (eq != std::string::npos) {
                 value = name.substr(eq + 1);
                 name = name.substr(0, eq);
-            } else if (i + 1 < argc && argv[i + 1][0] != '-') {
+            } else if (i + 1 < argc &&
+                       (argv[i + 1][0] != '-' || parseInt(argv[i + 1]))) {
+                // A negative number is a value (and then refused by
+                // checkIntFlags), not a flag of its own.
                 value = argv[++i];
             }
             args.flags[name] = value;
@@ -191,6 +197,50 @@ parseArgs(int argc, char **argv, int start)
         }
     }
     return args;
+}
+
+/**
+ * Every integer flag any subcommand reads, checked before the
+ * subcommand runs: a value that is not an integer, or is out of its
+ * range (a negative count, a Tab. 6 column outside 1..16), is a usage
+ * error rather than a silent fallback to the default. A bare --watch
+ * keeps its default interval.
+ */
+bool
+checkIntFlags(const Args &args)
+{
+    constexpr int64_t kInt = std::numeric_limits<int>::max();
+    constexpr int64_t kAny = std::numeric_limits<int64_t>::max();
+    static const struct
+    {
+        const char *name;
+        int64_t lo, hi;
+    } flags[] = {
+        {"iterations", 0, kAny}, {"seed", 0, kAny},
+        {"column", 1, 16},       {"jobs", 0, kInt},
+        {"budget", 0, kAny},     {"shards", 0, kInt},
+        {"port", 0, 65535},      {"max-store-bytes", 0, kAny},
+        {"opt-level", 0, kInt},  {"watch", 0, kInt},
+        {"min-edges", 1, kInt},  {"max-edges", 1, kInt},
+        {"max-tests", 0, kAny},
+    };
+    for (const auto &f : flags) {
+        if (!args.has(f.name) ||
+            (std::string(f.name) == "watch" && args.get(f.name, "") == "true"))
+            continue;
+        auto v = parseInt(args.get(f.name, ""));
+        if (!v || *v < f.lo) {
+            std::cerr << "error: --" << f.name << " needs an integer >= "
+                      << f.lo << "\n";
+            return false;
+        }
+        if (*v > f.hi) {
+            std::cerr << "error: --" << f.name << " is at most " << f.hi
+                      << "\n";
+            return false;
+        }
+    }
+    return true;
 }
 
 /** A test plus the micro-step floor its source recommends (registry
@@ -1087,8 +1137,8 @@ cmdSass(const Args &args)
 
 /**
  * Read the generator's bounds: --max-edges, --max-tests and, where the
- * command takes it, --min-edges. A bound that is not an integer, an
- * edge bound below 1, a negative test cap or a minimum above the
+ * command takes it, --min-edges. checkIntFlags has already refused an
+ * edge bound below 1 and a negative test cap; a minimum above the
  * maximum is a usage error (false, message printed).
  */
 bool
@@ -1096,35 +1146,11 @@ readGeneratorBounds(const Args &args, bool takes_min_edges,
                     int64_t max_tests_default,
                     gen::GeneratorOptions &opts)
 {
-    auto read = [&](const char *flag, int64_t fallback, int64_t lo,
-                    int64_t hi, int64_t &out) {
-        out = fallback;
-        if (!args.has(flag))
-            return true;
-        auto v = parseInt(args.get(flag, ""));
-        if (!v || *v < lo) {
-            std::cerr << "error: --" << flag << " needs an integer >= "
-                      << lo << "\n";
-            return false;
-        }
-        if (*v > hi) {
-            std::cerr << "error: --" << flag << " is at most " << hi
-                      << "\n";
-            return false;
-        }
-        out = *v;
-        return true;
-    };
-    const int64_t int_max = std::numeric_limits<int>::max();
-    int64_t min_edges = opts.minEdges;
-    int64_t max_edges = 0;
-    int64_t max_tests = 0;
-    if ((takes_min_edges &&
-         !read("min-edges", min_edges, 1, int_max, min_edges)) ||
-        !read("max-edges", 4, 1, int_max, max_edges) ||
-        !read("max-tests", max_tests_default, 0,
-              std::numeric_limits<int64_t>::max(), max_tests))
-        return false;
+    int64_t min_edges = takes_min_edges
+                            ? args.getInt("min-edges", opts.minEdges)
+                            : opts.minEdges;
+    int64_t max_edges = args.getInt("max-edges", 4);
+    int64_t max_tests = args.getInt("max-tests", max_tests_default);
     if (takes_min_edges && min_edges > max_edges) {
         std::cerr << "error: --min-edges " << min_edges
                   << " exceeds --max-edges " << max_edges << "\n";
@@ -1776,6 +1802,8 @@ main(int argc, char **argv)
     }
     std::string cmd = argv[1];
     Args args = parseArgs(argc, argv, 2);
+    if (!checkIntFlags(args))
+        return 1;
 
     // --trace FILE: collect spans for the whole invocation and write
     // Chrome trace-event JSON on the way out (docs/OBSERVABILITY.md).
