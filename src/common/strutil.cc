@@ -83,9 +83,14 @@ parseInt(std::string_view s)
     std::string str = trim(s);
     if (str.empty())
         return std::nullopt;
+    // Base 10 unless a 0x/0X follows the optional sign: strtoll's base
+    // 0 would read a leading zero as octal ("010" as 8).
+    size_t digits = str[0] == '-' || str[0] == '+' ? 1 : 0;
+    bool hex = str.size() > digits + 1 && str[digits] == '0' &&
+               (str[digits + 1] == 'x' || str[digits + 1] == 'X');
     char *end = nullptr;
     errno = 0;
-    long long v = std::strtoll(str.c_str(), &end, 0);
+    long long v = std::strtoll(str.c_str(), &end, hex ? 16 : 10);
     if (end != str.c_str() + str.size() || errno == ERANGE)
         return std::nullopt;
     return static_cast<int64_t>(v);

@@ -33,8 +33,9 @@ bool endsWith(std::string_view s, std::string_view suffix);
 /** Lower-case an ASCII string. */
 std::string toLower(std::string_view s);
 
-/** Parse a decimal or 0x-prefixed hexadecimal signed integer;
- * nullopt when it does not fit in 64 bits. */
+/** Parse a decimal or 0x-prefixed hexadecimal signed integer (a
+ * leading zero is still decimal: "010" is 10); nullopt when it is
+ * malformed or does not fit in 64 bits. */
 std::optional<int64_t> parseInt(std::string_view s);
 
 /** FNV-1a 64-bit hash; the string-hashing primitive of job keys and

@@ -258,6 +258,71 @@ machineFor(const std::shared_ptr<const Job> &job)
     return *it->second->machine;
 }
 
+/**
+ * Per-thread iteration tally of a sampling job: outcome digest ->
+ * (materialised final state, run count), its entries pooled across
+ * jobs. A repeat outcome costs one digest and one lookup: no
+ * final-state maps, no key rendering, no condition evaluation, no
+ * allocation. Equal digests imply equal final states
+ * (sim::Machine::outcomeDigest), and a histogram's counts and observed
+ * total are sums over runs, so folding each entry in with its count
+ * records exactly what recording every run would. Two digests may
+ * still render one key (the digest covers every register, the key
+ * only the observed ones); their counts add up in the histogram.
+ */
+class OutcomeTally
+{
+  public:
+    /**
+     * Count the machine's last completed run. Returns true when its
+     * outcome was new to the tally, i.e. its final state was
+     * materialised. A tally that reaches kMaxDistinct outcomes is
+     * flushed into `overflow`, which bounds the memory one job can
+     * pin.
+     */
+    bool
+    add(const sim::Machine &machine, litmus::Histogram &overflow)
+    {
+        auto [it, fresh] =
+            index_.try_emplace(machine.outcomeDigest(), used_);
+        if (!fresh) {
+            ++entries_[it->second].count;
+            return false;
+        }
+        if (used_ == entries_.size())
+            entries_.emplace_back();
+        entries_[used_].state = machine.finalState();
+        entries_[used_].count = 1;
+        if (++used_ == kMaxDistinct)
+            flushInto(overflow);
+        return true;
+    }
+
+    /** Record every counted run into `hist` and empty the tally,
+     * keeping the entries' storage. */
+    void
+    flushInto(litmus::Histogram &hist)
+    {
+        for (size_t i = 0; i < used_; ++i)
+            hist.record(entries_[i].state, entries_[i].count);
+        index_.clear();
+        used_ = 0;
+    }
+
+  private:
+    static constexpr size_t kMaxDistinct = 1024;
+
+    struct Entry
+    {
+        litmus::FinalState state;
+        uint64_t count = 0;
+    };
+
+    std::unordered_map<Digest128, size_t, Digest128::Hasher> index_;
+    std::vector<Entry> entries_; ///< first used_ live; rest pooled
+    size_t used_ = 0;
+};
+
 } // namespace
 
 JobResult
@@ -276,10 +341,23 @@ runJob(std::shared_ptr<const Job> job)
     // the test, and every run draws only from the job-derived RNG.
     sim::Machine &machine = machineFor(job);
     Rng rng(job->derivedSeed());
+    // One provider over the job's stream: RngChoice holds only the
+    // pointer, so the draws are those of machine.run(rng).
+    sim::RngChoice choices(rng);
+    // Each iteration is tallied by outcome digest. A final state is
+    // built when its digest is first seen, and keyed and evaluated
+    // once when the tally is folded into the histogram.
+    thread_local OutcomeTally tally;
+    uint64_t materialised = 0;
 
     auto start = std::chrono::steady_clock::now();
-    for (uint64_t i = 0; i < job->iterations; ++i)
-        result.hist.record(machine.run(rng));
+    for (uint64_t i = 0; i < job->iterations; ++i) {
+        if (machine.runLight(choices))
+            materialised += tally.add(machine, result.hist);
+        else // as run(): an aborted iteration ends in no state
+            result.hist.record(litmus::FinalState{});
+    }
+    tally.flushInto(result.hist);
     auto end = std::chrono::steady_clock::now();
     result.millis =
         std::chrono::duration<double, std::milli>(end - start).count();
@@ -287,6 +365,8 @@ runJob(std::shared_ptr<const Job> job)
     if (obs::enabled()) {
         obs::counter("sim_jobs_total").add();
         obs::counter("sim_iterations_total").add(job->iterations);
+        obs::counter("sim_outcomes_materialised_total")
+            .add(materialised);
     }
 
     if (result.hist.total() > 0) {

@@ -15,8 +15,10 @@ Histogram::Histogram(const Test &test)
 std::string
 Histogram::keyFor(const FinalState &state) const
 {
-    // Hot path for both the sampling harness (once per iteration) and
-    // the explorer (once per leaf): append in place, no temporaries.
+    // Called once per distinct outcome by the sampling harness and
+    // the explorer (both dedup runs by outcome digest first) and once
+    // per execution by the model checker: append in place, no
+    // temporaries.
     std::string key;
     key.reserve(16 * (regs_.size() + locs_.size()));
     char buf[24];
@@ -45,12 +47,14 @@ Histogram::keyFor(const FinalState &state) const
 }
 
 void
-Histogram::record(const FinalState &state)
+Histogram::record(const FinalState &state, uint64_t times)
 {
-    ++total_;
-    ++counts_[keyFor(state)];
+    if (times == 0)
+        return;
+    total_ += times;
+    counts_[keyFor(state)] += times;
     if (test_->condition.eval(state))
-        ++observed_;
+        observed_ += times;
 }
 
 void

@@ -27,7 +27,14 @@ class Histogram
     explicit Histogram(const Test &test);
 
     /** Record one run's final state. */
-    void record(const FinalState &state);
+    void record(const FinalState &state) { record(state, 1); }
+
+    /**
+     * Record `times` runs that all ended in `state`: one key render
+     * and one condition evaluation for the lot. Identical to calling
+     * record(state) `times` times; a no-op when `times` is 0.
+     */
+    void record(const FinalState &state, uint64_t times);
 
     /** Number of runs whose final state satisfied the condition body. */
     uint64_t observed() const { return observed_; }

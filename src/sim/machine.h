@@ -154,9 +154,12 @@ class Machine
      * run() without materialising the final state: returns false when
      * the provider aborted the iteration (ChoiceProvider::kAbortRun),
      * true otherwise. After a true return, query outcomeDigest() —
-     * and finalState() only for digests not seen before. Searchers
-     * use this to skip the final-state maps for the (overwhelmingly
-     * common) leaves whose outcome repeats an earlier one.
+     * and finalState() only for digests not seen before. The
+     * explorer (per leaf) and the sampling harness (per iteration,
+     * harness::runJob under an RngChoice, so the draws are run(Rng&)'s)
+     * use this to skip the final-state maps, key and condition for
+     * the overwhelmingly common runs whose outcome repeats an
+     * earlier one.
      */
     bool runLight(ChoiceProvider &choices);
 

@@ -50,6 +50,27 @@ TEST(Rng, BelowCoversAllResidues)
     EXPECT_EQ(seen.size(), 7u);
 }
 
+TEST(Rng, BelowIsThresholdRejectionSampling)
+{
+    // below() divides for the rejection threshold only when r <
+    // bound; it must still accept and reject exactly as the textbook
+    // loop does. Bounds just above 2^63 reject about half the draws.
+    Rng fast(21), ref(21);
+    for (uint64_t bound :
+         {uint64_t{1}, uint64_t{7}, uint64_t{1} << 40,
+          (uint64_t{1} << 63) + 1, (uint64_t{1} << 63) + 12345,
+          ~uint64_t{0}}) {
+        uint64_t threshold = -bound % bound;
+        for (int i = 0; i < 2000; ++i) {
+            uint64_t r;
+            do
+                r = ref.next();
+            while (r < threshold);
+            ASSERT_EQ(fast.below(bound), r % bound) << bound;
+        }
+    }
+}
+
 TEST(Rng, RangeInclusive)
 {
     Rng r(11);
@@ -157,6 +178,17 @@ TEST(Strutil, ParseInt)
     EXPECT_FALSE(parseInt("4x2").has_value());
     EXPECT_FALSE(parseInt("").has_value());
     EXPECT_FALSE(parseInt("abc").has_value());
+    // A leading zero is decimal, never octal; hex takes a sign too.
+    EXPECT_EQ(parseInt("010").value(), 10);
+    EXPECT_EQ(parseInt("08").value(), 8);
+    EXPECT_EQ(parseInt("-010").value(), -10);
+    EXPECT_EQ(parseInt("-0x10").value(), -16);
+    EXPECT_EQ(parseInt("0X1f").value(), 31);
+    EXPECT_EQ(parseInt("0").value(), 0);
+    EXPECT_FALSE(parseInt("0x").has_value());
+    EXPECT_FALSE(parseInt("-0x").has_value());
+    EXPECT_FALSE(parseInt("0x-5").has_value());
+    EXPECT_FALSE(parseInt("1f").has_value());
     // Out of 64-bit range: refused, not clamped.
     EXPECT_EQ(parseInt("9223372036854775807").value(), INT64_MAX);
     EXPECT_FALSE(parseInt("9223372036854775808").has_value());

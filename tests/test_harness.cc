@@ -7,11 +7,19 @@
 
 #include <gtest/gtest.h>
 
+#include <cinttypes>
+#include <cstdio>
 #include <cstdlib>
+#include <fstream>
+#include <set>
 #include <sstream>
+#include <utility>
 
+#include "common/hash.h"
+#include "gen/generator.h"
 #include "harness/campaign.h"
 #include "litmus/library.h"
+#include "litmus/parser.h"
 
 namespace gpulitmus::harness {
 namespace {
@@ -413,6 +421,242 @@ TEST(Campaign, DefaultJobsFromEnv)
     EXPECT_GE(defaultJobs(), 1);
     unsetenv("GPULITMUS_JOBS");
     EXPECT_GE(defaultJobs(), 1);
+}
+
+// ---- sampler --------------------------------------------------------
+
+litmus::Test
+loadCorpus(const std::string &name)
+{
+    std::string path =
+        std::string(GPULITMUS_SOURCE_DIR) + "/litmus-tests/" + name;
+    std::ifstream in(path);
+    EXPECT_TRUE(in.good()) << "cannot open " << path;
+    std::stringstream ss;
+    ss << in.rdbuf();
+    auto test = litmus::parseTest(ss.str());
+    EXPECT_TRUE(test.has_value()) << path;
+    return test ? *test : litmus::Test{};
+}
+
+/** Fold everything a histogram reports into a digest. */
+void
+hashHistogram(Hash128 &h, const litmus::Histogram &hist)
+{
+    for (const auto &[key, count] : hist.counts()) {
+        h.put64(key.size());
+        h.putBytes(reinterpret_cast<const uint8_t *>(key.data()),
+                   key.size());
+        h.put64(count);
+    }
+    h.put64(hist.observed());
+    h.put64(hist.total());
+}
+
+sim::MachineOptions
+machineOptions(const Job &job)
+{
+    sim::MachineOptions opts;
+    opts.inc = job.inc;
+    opts.maxMicroSteps = job.maxMicroSteps;
+    return opts;
+}
+
+/** What runJob must reproduce: every iteration materialised and
+ * recorded, on a freshly compiled machine. */
+litmus::Histogram
+referenceHistogram(const Job &job)
+{
+    sim::Machine machine(job.chip, job.test, machineOptions(job));
+    Rng rng(job.derivedSeed());
+    litmus::Histogram hist(job.test);
+    for (uint64_t i = 0; i < job.iterations; ++i)
+        hist.record(machine.run(rng));
+    return hist;
+}
+
+TEST(Sampler, HistogramDigestsArePinned)
+{
+    // Captured from the per-iteration sampler (every run's final
+    // state materialised and recorded) at seed 12345: how runJob
+    // tallies iterations may change, the histograms it reports may
+    // not.
+    const struct
+    {
+        const char *file;
+        uint64_t lo, hi;
+    } golden[] = {
+        {"F.cta-dWW+Rfe-dev+F.cta-dRR+Fre-dev.litmus",
+         0x9d4e95913d652fdaULL, 0x6d71e8c43941cc57ULL},
+        {"PodRW+Rfe-cta+PodRW+Rfe-cta.litmus",
+         0xb9f87c8e1050ccd7ULL, 0xe7699dda03d2ff30ULL},
+        {"PodWR+Fre-cta+PodWR+Fre-cta.litmus",
+         0x5ce7783f501c5a08ULL, 0x0026898b4bd28844ULL},
+        {"PodWW+Rfe-cta+PodRR+Fre-cta.litmus",
+         0x77971f11fc3192a3ULL, 0x965552def334bc41ULL},
+        {"PodWW+Wse-cta+PodWW+Wse-cta.litmus",
+         0xf03735c0f0ede52dULL, 0xb34b2d4162679106ULL},
+        {"PodWW+Wse-dev+PodWR+Fre-dev.litmus",
+         0xee367bd757a8e2aaULL, 0x8a242fb4a020b076ULL},
+        {"PodWW+Wse-dev+PodWW+Wse-dev.litmus",
+         0x21fef41970b6e296ULL, 0x39a08a0f01f7abe9ULL},
+        {"Rfe-cta+PosRR+Fre-cta.litmus",
+         0xa2f4a9635f51e9acULL, 0x4dafaafd2ff8b584ULL},
+        {"Rfe-dev+PosRR+Fre-cta+Wse-dev.litmus",
+         0x2039900010cb7bbdULL, 0x453403f5e2c80204ULL},
+        {"Wse-dev+Rfe-cta+PosRR+Fre-dev.litmus",
+         0x7e6edb881071affbULL, 0x0a1df2699cda4945ULL},
+        {"cas-sl.litmus",
+         0x213d2cb67f501989ULL, 0x1bb1a514eee54791ULL},
+        {"corr-l2-l1.litmus",
+         0x016a060f63a9b5d8ULL, 0xbd6ff86177a6c902ULL},
+        {"corr.litmus",
+         0x2d28f03d37d338d4ULL, 0xb948f9a612c19d1dULL},
+        {"lb-membar.ctas.litmus",
+         0x44557df0f6d6c109ULL, 0x4c539bcc81856c35ULL},
+        {"lb.litmus",
+         0x1359daebbd5d5fabULL, 0xa78f4429c326fcefULL},
+        {"mp-deps.litmus",
+         0x0978b93cf6569300ULL, 0xa76f108ed35790c6ULL},
+        {"mp-membar.gl.litmus",
+         0x33c4182d8f8cc4fdULL, 0xf75df9d2f59d9e8dULL},
+        {"mp-volatile.litmus",
+         0xfa1175b725acc10bULL, 0x29407edcfa04a38bULL},
+        {"mp.litmus",
+         0x45f9e1e77e58846dULL, 0xb57c90b0cede15c4ULL},
+        {"sb.litmus",
+         0x92c3581bb86476b9ULL, 0x806de9450fb18570ULL},
+    };
+    for (const auto &g : golden) {
+        litmus::Test test = loadCorpus(g.file);
+        Hash128 h;
+        for (const char *chip : {"Titan", "GTX5", "TesC", "HD7970"}) {
+            for (int column : {1, 6, 16}) {
+                RunConfig cfg;
+                cfg.iterations = 2000;
+                cfg.seed = 12345;
+                cfg.inc = sim::Incantations::fromColumn(column);
+                JobResult r =
+                    runJob(Job::fromConfig(sim::chip(chip), test, cfg));
+                hashHistogram(h, r.hist);
+            }
+        }
+        Digest128 d = h.digest();
+        char got[64];
+        std::snprintf(got, sizeof got, "0x%016" PRIx64 ", 0x%016" PRIx64,
+                      d.lo, d.hi);
+        EXPECT_TRUE(d.lo == g.lo && d.hi == g.hi)
+            << g.file << ": got " << got;
+    }
+}
+
+TEST(Sampler, TallyMatchesPerIterationRecord)
+{
+    gen::GeneratorOptions gopts;
+    gopts.maxTests = 3000;
+    auto pool = gen::generate(gen::defaultPool(), gopts);
+    ASSERT_EQ(pool.size(), 3000u);
+    std::vector<litmus::Test> tests;
+    for (size_t i = 0; i < pool.size(); i += 10)
+        tests.push_back(std::move(pool[i].test));
+    ASSERT_EQ(tests.size(), 300u);
+
+    for (const auto &test : tests) {
+        for (const char *chip :
+             {"Titan", "GTX5", "TesC", "GTX6", "GTX7", "HD7970"}) {
+            for (int column : {1, 16}) {
+                RunConfig cfg;
+                cfg.iterations = 100;
+                cfg.seed = 7;
+                cfg.inc = sim::Incantations::fromColumn(column);
+                Job job = Job::fromConfig(sim::chip(chip), test, cfg);
+                litmus::Histogram ref = referenceHistogram(job);
+                JobResult r = runJob(job);
+                ASSERT_EQ(r.hist.counts(), ref.counts())
+                    << test.name << "@" << chip << " col " << column;
+                ASSERT_EQ(r.hist.observed(), ref.observed());
+                ASSERT_EQ(r.hist.total(), ref.total());
+            }
+        }
+    }
+}
+
+TEST(Sampler, TallyCountsGuardTruncatedRuns)
+{
+    // T1 spins until it sees T0's flag; a tight guard cuts the spin
+    // off in some iterations, and those truncated runs are outcomes
+    // like any other.
+    litmus::Test spin =
+        litmus::TestBuilder("spin")
+            .global("x", 0)
+            .global("f", 0)
+            .thread("st.cg [x],1; st.cg [f],1")
+            .thread("LOOP: ld.cg r0,[f]; setp.eq p0,r0,0;"
+                    "@p0 bra LOOP; ld.cg r1,[x]")
+            .interCta()
+            .exists("1:r0=1 /\\ 1:r1=0")
+            .build();
+    RunConfig cfg;
+    cfg.iterations = 2000;
+    cfg.seed = 99;
+    Job job = Job::fromConfig(sim::chip("Titan"), spin, cfg);
+    job.maxMicroSteps = 12;
+
+    sim::Machine machine(job.chip, job.test, machineOptions(job));
+    Rng rng(job.derivedSeed());
+    uint64_t truncated = 0;
+    for (uint64_t i = 0; i < job.iterations; ++i) {
+        machine.run(rng);
+        truncated += machine.lastRunTruncated();
+    }
+    EXPECT_GT(truncated, 0u);
+    EXPECT_LT(truncated, job.iterations);
+
+    litmus::Histogram ref = referenceHistogram(job);
+    JobResult r = runJob(job);
+    EXPECT_EQ(r.hist.counts(), ref.counts());
+    EXPECT_EQ(r.hist.observed(), ref.observed());
+    EXPECT_EQ(r.hist.total(), job.iterations);
+}
+
+TEST(Sampler, TallyAddsUpManyOutcomesSharingKeys)
+{
+    // T1's six reads of a counter T0 bumps 100 times end in thousands
+    // of distinct final states, more than one job's tally holds at
+    // once, yet the key shows only 1:r1: many digests render each
+    // key, and all their runs must land on it.
+    litmus::Test counter =
+        litmus::TestBuilder("counter")
+            .global("x", 0)
+            .thread("LOOP: add r1,r1,1; st.cg [x],r1;"
+                    "setp.ne p0,r1,100; @p0 bra LOOP")
+            .thread("ld.cg r1,[x]; ld.cg r2,[x]; ld.cg r3,[x];"
+                    "ld.cg r4,[x]; ld.cg r5,[x]; ld.cg r6,[x]")
+            .interCta()
+            .exists("1:r1=1")
+            .build();
+    RunConfig cfg;
+    cfg.iterations = 5000;
+    cfg.seed = 5;
+    cfg.inc = sim::Incantations::fromColumn(16);
+    Job job = Job::fromConfig(sim::chip("Titan"), counter, cfg);
+
+    sim::Machine machine(job.chip, job.test, machineOptions(job));
+    Rng rng(job.derivedSeed());
+    std::set<std::pair<uint64_t, uint64_t>> digests;
+    litmus::Histogram ref(job.test);
+    for (uint64_t i = 0; i < job.iterations; ++i) {
+        ref.record(machine.run(rng));
+        Digest128 d = machine.outcomeDigest();
+        digests.insert({d.lo, d.hi});
+    }
+    EXPECT_GT(digests.size(), 2000u);
+    EXPECT_LT(ref.counts().size(), 100u);
+
+    JobResult r = runJob(job);
+    EXPECT_EQ(r.hist.counts(), ref.counts());
+    EXPECT_EQ(r.hist.observed(), ref.observed());
+    EXPECT_EQ(r.hist.total(), job.iterations);
 }
 
 } // namespace

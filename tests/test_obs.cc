@@ -315,6 +315,22 @@ TEST_F(ObsTest, EngineTicksJobAndCacheCounters)
     EXPECT_EQ(reg.timer("engine_deliver_us").count(), 2u);
 }
 
+TEST_F(ObsTest, SamplerCountsMaterialisedOutcomes)
+{
+    // Only a run whose outcome digest is new to the job builds its
+    // final state: at least one, at most one per iteration — and mp
+    // has only a handful of distinct outcomes.
+    harness::runJob(simJob(pl::mp()));
+    auto &reg = obs::Registry::instance();
+    uint64_t iterations = reg.counter("sim_iterations_total").value();
+    uint64_t materialised =
+        reg.counter("sim_outcomes_materialised_total").value();
+    EXPECT_EQ(iterations, 2000u);
+    EXPECT_GT(materialised, 0u);
+    EXPECT_LE(materialised, iterations);
+    EXPECT_LT(materialised, 100u);
+}
+
 TEST_F(ObsTest, ExplorerTicksReplaysAndHeartbeat)
 {
     mc::ExploreOptions opts;
